@@ -1,14 +1,16 @@
-from .common import (AgentConfig, TrainResult, dqn_network_spec,
-                     drqn_network_spec, encode_observation, encode_state,
-                     epsilon_at, epsilon_greedy, obs_dim, state_dim)
+from .common import (AgentConfig, Learner, TrainResult, dqn_network_spec,
+                     drqn_network_spec, encode, epsilon_at, epsilon_greedy,
+                     obs_dim, state_dim)
 from .replay import EpisodeBuffer, EpisodeTrace, Transition, TransitionBuffer
-from .dqn import DenseQ, DQNPolicy, dqn_update, td_targets, train_dqn
-from .drqn import DRQNPolicy, drqn_update, train_drqn
+from .dqn import DQN, DQNPolicy, dqn_update, td_targets
+from .drqn import DRQN, DRQNPolicy, drqn_update
+
+LEARNERS = {"dqn": DQN, "drqn": DRQN}
 
 __all__ = [
-    "AgentConfig", "DenseQ", "DQNPolicy", "DRQNPolicy", "EpisodeBuffer",
-    "EpisodeTrace", "TrainResult", "Transition", "TransitionBuffer",
-    "dqn_network_spec", "dqn_update", "drqn_network_spec", "drqn_update",
-    "encode_observation", "encode_state", "epsilon_at", "epsilon_greedy",
-    "obs_dim", "state_dim", "td_targets", "train_dqn", "train_drqn",
+    "AgentConfig", "DQN", "DQNPolicy", "DRQN", "DRQNPolicy", "EpisodeBuffer",
+    "EpisodeTrace", "LEARNERS", "Learner", "TrainResult", "Transition",
+    "TransitionBuffer", "dqn_network_spec", "dqn_update",
+    "drqn_network_spec", "drqn_update", "encode", "epsilon_at",
+    "epsilon_greedy", "obs_dim", "state_dim", "td_targets",
 ]

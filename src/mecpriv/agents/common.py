@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from ..env import EnvParams, State, action_mask
+from ..env import EnvParams, valid_mask_matrix
 from ..nn import Dense, GRU, NetworkSpec, Params
 
 OPTIMIZERS = ("adam", "sgd")
@@ -84,28 +85,26 @@ def obs_dim(p: EnvParams) -> int:
     return state_dim(p) + p.n_actions
 
 
-def encode_state(s: State, p: EnvParams) -> np.ndarray:
-    """One-hot concatenation of d, b and g."""
-    x = np.zeros(state_dim(p), dtype=np.float64)
-    x[s.d] = 1.0
-    x[p.d_max + 1 + s.b] = 1.0
-    x[p.d_max + 1 + p.b_max + 1 + s.g] = 1.0
+def encode(d, b, g, p: EnvParams, prev=None) -> np.ndarray:
+    """One-hot encoding of states, and of previous actions if prev is given.
+
+    d, b and g are scalars or index arrays of one shape; the result has
+    that shape plus an axis of width state_dim (or obs_dim with prev). An
+    entry of -1 in prev means no previous action: its one-hot is all zeros.
+    """
+    d = np.asarray(d)
+    width = state_dim(p) if prev is None else obs_dim(p)
+    x = np.zeros(d.shape + (width,))
+    flat = x.reshape(-1, width)
+    rows = np.arange(len(flat))
+    flat[rows, d.ravel()] = 1.0
+    flat[rows, p.d_max + 1 + np.ravel(b)] = 1.0
+    flat[rows, p.d_max + p.b_max + 2 + np.ravel(g)] = 1.0
+    if prev is not None:
+        prev = np.ravel(prev)
+        on = prev >= 0
+        flat[rows[on], state_dim(p) + prev[on]] = 1.0
     return x
-
-
-def encode_observation(s: State, prev_action: int | None, p: EnvParams) -> np.ndarray:
-    """State one-hots followed by the previous action one-hot (zeros if none)."""
-    x = np.zeros(obs_dim(p), dtype=np.float64)
-    x[s.d] = 1.0
-    x[p.d_max + 1 + s.b] = 1.0
-    x[p.d_max + 1 + p.b_max + 1 + s.g] = 1.0
-    if prev_action is not None:
-        x[state_dim(p) + prev_action] = 1.0
-    return x
-
-
-def encode_states(states, p: EnvParams) -> np.ndarray:
-    return np.stack([encode_state(s, p) for s in states])
 
 
 def epsilon_greedy(q_values: np.ndarray, valid_mask: np.ndarray, eps: float,
@@ -156,6 +155,25 @@ class TrainResult:
         return np.array([row[1] for row in self.curve])
 
 
+@dataclass(frozen=True)
+class Learner:
+    """What sets one Q-learner apart from the other; the shared trainer
+    runs the rest.
+
+    network_spec(env, cfg) builds the net, policy(spec, params, env) is its
+    epsilon-greedy actor (greedy at eps 0), replay(env, cfg) makes the store
+    the trainer feeds each slot through record(s, a, r, s_next), closes with
+    end_episode() and draws from with sample_batch(cfg, rng) (None until it
+    can fill a batch), and update(spec, params, target, opt, batch, env,
+    cfg, baseline, scale) takes one gradient step, returning (params, loss).
+    """
+
+    network_spec: Callable
+    policy: type
+    replay: Callable
+    update: Callable
+
+
 class RewardBaseline:
     """Running mean and spread of collected rewards, a training-only transform.
 
@@ -197,9 +215,7 @@ class RewardBaseline:
         return var ** 0.5 if var > 1e-12 else 1.0
 
 
-def masked_max(q: np.ndarray, states, p: EnvParams) -> np.ndarray:
-    """Row-wise max of q over each state's valid actions; q is (B, A)."""
-    out = np.empty(len(states), dtype=np.float64)
-    for i, s in enumerate(states):
-        out[i] = q[i][action_mask(s, p)].max()
-    return out
+def masked_max(q: np.ndarray, ids, p: EnvParams) -> np.ndarray:
+    """Max of q over the valid actions of each state; ids are state_ids
+    of q's leading axes."""
+    return np.where(valid_mask_matrix(p)[ids], q, -np.inf).max(axis=-1)

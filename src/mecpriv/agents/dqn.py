@@ -3,35 +3,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..env import (Action, EnvParams, State, action_mask, reward,
-                   sample_initial_state, step)
-from ..nn import (backward, clone_params, forward, make_optimizer,
-                  polyak_update)
-from ..privacy import WindowHistory, privacy_breakdown
-from .common import (AgentConfig, RewardBaseline, TrainResult,
-                     alpha_at, dqn_network_spec, encode_state, encode_states,
-                     epsilon_at, epsilon_greedy, loss_gradient, masked_max)
-from .replay import Transition, TransitionBuffer
+from ..env import Action, EnvParams, State, action_mask, state_id
+from ..nn import backward, forward
+from .common import (AgentConfig, Learner, dqn_network_spec, encode,
+                     epsilon_greedy, loss_gradient, masked_max)
+from .replay import TransitionBuffer
 
 
-class DenseQ:
-    """Bundles spec, parameters and env for batched Q evaluation."""
+def _columns(states) -> np.ndarray:
+    """(3, B) array of the d, b and g of a list of states."""
+    return np.array([(s.d, s.b, s.g) for s in states], dtype=np.int64).T
+
+
+class DQNPolicy:
+    """Epsilon-greedy policy of a feed-forward net; greedy at eps 0, the
+    default, which is how trained nets are evaluated."""
 
     def __init__(self, spec, params, env: EnvParams):
         self.spec = spec
         self.params = params
         self.env = env
+        self.eps = 0.0
+        self._rng: np.random.Generator | None = None
 
     def q_batch(self, states) -> np.ndarray:
-        xs = encode_states(states, self.env)[None, :, :]
+        xs = encode(*_columns(states), self.env)[None, :, :]
         out, _, _ = forward(self.spec, self.params, xs, collect_cache=False)
         return out[0]
 
-    def q_single(self, s: State) -> np.ndarray:
-        return self.q_batch([s])[0]
+    def reset(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+
+    def act(self, s: State) -> Action:
+        a_idx = epsilon_greedy(self.q_batch([s])[0], action_mask(s, self.env),
+                               self.eps, self._rng)
+        return self.env.action_from_index(a_idx)
 
 
-def td_targets(batch, q_target: DenseQ, gamma: float,
+def td_targets(batch, q_target: DQNPolicy, gamma: float,
                baseline: float = 0.0, scale: float = 1.0) -> np.ndarray:
     """Bootstrap targets (r - baseline) / scale + gamma * max over valid
     next actions."""
@@ -39,7 +48,8 @@ def td_targets(batch, q_target: DenseQ, gamma: float,
         raise ValueError("empty batch")
     next_states = [tr.s_next for tr in batch]
     q_next = q_target.q_batch(next_states)
-    best = masked_max(q_next, next_states, q_target.env)
+    env = q_target.env
+    best = masked_max(q_next, state_id(*_columns(next_states), env), env)
     rewards = np.array([tr.r for tr in batch])
     return (rewards - baseline) / scale + gamma * best
 
@@ -47,11 +57,10 @@ def td_targets(batch, q_target: DenseQ, gamma: float,
 def dqn_update(spec, params, target_params, opt, batch, env: EnvParams,
                cfg: AgentConfig, baseline: float = 0.0, scale: float = 1.0):
     """One gradient step on the mean TD loss; returns (params, loss)."""
-    y = td_targets(batch, DenseQ(spec, target_params, env), cfg.gamma,
+    y = td_targets(batch, DQNPolicy(spec, target_params, env), cfg.gamma,
                    baseline, scale)
-    states = [tr.s for tr in batch]
     actions = np.array([tr.a for tr in batch])
-    xs = encode_states(states, env)[None, :, :]
+    xs = encode(*_columns([tr.s for tr in batch]), env)[None, :, :]
     out, _, cache = forward(spec, params, xs)
     taken = out[0][np.arange(len(batch)), actions]
     err = taken - y
@@ -62,76 +71,6 @@ def dqn_update(spec, params, target_params, opt, batch, env: EnvParams,
     return new_params, float(np.mean(err * err))
 
 
-def train_dqn(env: EnvParams, cfg: AgentConfig, rng: np.random.Generator,
-              label: str = "dqn") -> TrainResult:
-    """Replay-based Q-learning loop over full episodes.
-
-    Per step: epsilon-greedy action over valid choices, environment step,
-    privacy window push, reward, transition storage and (every
-    update_every steps once the buffer holds a batch) one gradient step
-    with a soft target update every target_update_period gradient steps.
-    """
-    spec = dqn_network_spec(env, cfg)
-    from ..nn import init_params
-    params = init_params(spec, rng)
-    target = clone_params(params)
-    opt = make_optimizer(cfg.optimizer, cfg.alpha)
-    buf = TransitionBuffer(cfg.buffer_capacity)
-    baseline = RewardBaseline(cfg.center_rewards, cfg.scale_rewards)
-    curve: list[tuple[int, float, float]] = []
-    grad_steps = 0
-    for ep in range(cfg.episodes):
-        eps = epsilon_at(cfg, ep)
-        opt.lr = alpha_at(cfg, ep)
-        s = sample_initial_state(rng, env)
-        window = WindowHistory(env.window, d_max=env.d_max, t_max=env.t_max)
-        total = 0.0
-        for n in range(env.episode_len):
-            mask = action_mask(s, env)
-            q = DenseQ(spec, params, env).q_single(s)
-            a_idx = epsilon_greedy(q, mask, eps, rng)
-            assert mask[a_idx], "masking violated"
-            a = env.action_from_index(a_idx)
-            out = step(s, a, rng, env)
-            window.push((s.d, s.g, a.t))
-            r = reward(out.cost, privacy_breakdown(window).p_total,
-                       env.privacy_weight)
-            buf.push(Transition(s, a_idx, r, out.next_state))
-            baseline.add(r)
-            total += r
-            s = out.next_state
-            if len(buf) >= cfg.batch_size and n % cfg.update_every == 0:
-                batch = buf.sample(cfg.batch_size, rng)
-                params, _ = dqn_update(spec, params, target, opt, batch,
-                                       env, cfg, baseline.value,
-                                       baseline.scale)
-                grad_steps += 1
-                if grad_steps % cfg.target_update_period == 0:
-                    if cfg.polyak_conventional:
-                        target = polyak_update(online=params, target=target,
-                                               tau=1.0 - cfg.tau)
-                    else:
-                        target = polyak_update(target, params, cfg.tau)
-        curve.append((ep, total, eps))
-    return TrainResult(label=label, spec=spec, params=params, curve=curve)
-
-
-class DQNPolicy:
-    """Greedy policy of a trained feed-forward net, tabulated per state."""
-
-    def __init__(self, spec, params, env: EnvParams):
-        self.env = env
-        q = DenseQ(spec, params, env)
-        self._table: dict[State, Action] = {}
-        for s in env.all_states():
-            masked = np.where(action_mask(s, env), q.q_single(s), -np.inf)
-            self._table[s] = env.action_from_index(int(np.argmax(masked)))
-
-    def reset(self, rng: np.random.Generator) -> None:
-        pass
-
-    def act(self, s: State) -> Action:
-        return self._table[s]
-
-    def action_table(self) -> dict[State, Action]:
-        return dict(self._table)
+DQN = Learner(network_spec=dqn_network_spec, policy=DQNPolicy,
+              replay=lambda env, cfg: TransitionBuffer(cfg.buffer_capacity),
+              update=dqn_update)

@@ -10,32 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..env import (Action, EnvParams, State, action_mask, reward,
-                   sample_initial_state, state_id, step, valid_mask_matrix)
-from ..nn import (backward, clone_params, forward, forward_step, init_hidden,
-                  init_params, make_optimizer, polyak_update)
-from ..privacy import WindowHistory, privacy_breakdown
-from .common import (AgentConfig, RewardBaseline, TrainResult, alpha_at,
-                     drqn_network_spec, encode_observation, epsilon_at,
-                     epsilon_greedy, loss_gradient, obs_dim, state_dim)
-from .replay import EpisodeBuffer, EpisodeTrace
-
-
-def _one_hot_obs(d, b, g, prev, env: EnvParams) -> np.ndarray:
-    """Vectorized observation encoding for (T, B) index arrays.
-
-    prev entries of -1 mean no previous action (zeros in the action slot).
-    """
-    T, B = d.shape
-    x = np.zeros((T, B, obs_dim(env)))
-    tt = np.arange(T)[:, None]
-    bb = np.arange(B)[None, :]
-    x[tt, bb, d] = 1.0
-    x[tt, bb, env.d_max + 1 + b] = 1.0
-    x[tt, bb, env.d_max + 1 + env.b_max + 1 + g] = 1.0
-    ti, bi = np.nonzero(prev >= 0)
-    x[ti, bi, state_dim(env) + prev[ti, bi]] = 1.0
-    return x
+from ..env import Action, EnvParams, State, action_mask, state_id
+from ..nn import backward, forward, forward_step, init_hidden
+from .common import (AgentConfig, Learner, drqn_network_spec, encode,
+                     epsilon_greedy, loss_gradient, masked_max)
+from .replay import EpisodeBuffer
 
 
 def _window_batch(windows, T: int, env: EnvParams):
@@ -53,7 +32,7 @@ def _window_batch(windows, T: int, env: EnvParams):
     prev = np.vstack([
         [(ep.actions[w - 1] if w > 0 else -1) for ep, w in windows],
         acts])
-    x = _one_hot_obs(d, b, g, prev, env)
+    x = encode(d, b, g, env, prev)
     next_ids = state_id(d[1:], b[1:], g[1:], env)
     return x[:-1], x[1:], acts, rews, next_ids
 
@@ -77,8 +56,7 @@ def drqn_update(spec, params, target_params, opt, windows, env: EnvParams,
     q_on, _, cache = forward(spec, params, x_on[burn:], h_on)
     q_tg, _, _ = forward(spec, target_params, x_tg[burn:], h_tg,
                          collect_cache=False)
-    valid = valid_mask_matrix(env)[next_ids[burn:]]  # (L, B, A)
-    best = np.where(valid, q_tg, -np.inf).max(axis=2)
+    best = masked_max(q_tg, next_ids[burn:], env)
     y = (rews[burn:] - baseline) / scale + cfg.gamma * best
     rows = np.arange(B)
     cols = acts[burn:]
@@ -91,87 +69,38 @@ def drqn_update(spec, params, target_params, opt, windows, env: EnvParams,
     return opt.step(params, grads), float(np.mean(err * err))
 
 
-def train_drqn(env: EnvParams, cfg: AgentConfig, rng: np.random.Generator,
-               label: str = "drqn") -> TrainResult:
-    """Train the recurrent agent; returns parameters and learning curve."""
+def _episode_replay(env: EnvParams, cfg: AgentConfig) -> EpisodeBuffer:
     if cfg.seq_len > env.episode_len:
         raise ValueError("seq_len cannot exceed episode_len")
-    spec = drqn_network_spec(env, cfg)
-    params = init_params(spec, rng)
-    target = clone_params(params)
-    opt = make_optimizer(cfg.optimizer, cfg.alpha)
-    buf = EpisodeBuffer(cfg.buffer_capacity)
-    baseline = RewardBaseline(cfg.center_rewards, cfg.scale_rewards)
-    curve: list[tuple[int, float, float]] = []
-    grad_steps = 0
-    n_steps = env.episode_len
-    for ep in range(cfg.episodes):
-        eps = epsilon_at(cfg, ep)
-        opt.lr = alpha_at(cfg, ep)
-        s = sample_initial_state(rng, env)
-        window = WindowHistory(env.window, d_max=env.d_max, t_max=env.t_max)
-        h = init_hidden(spec, 1)
-        prev: int | None = None
-        sd = np.empty(n_steps + 1, dtype=np.int64)
-        sb = np.empty(n_steps + 1, dtype=np.int64)
-        sg = np.empty(n_steps + 1, dtype=np.int64)
-        acts = np.empty(n_steps, dtype=np.int64)
-        rews = np.empty(n_steps)
-        total = 0.0
-        for n in range(n_steps):
-            x = encode_observation(s, prev, env)[None, :]
-            q, h = forward_step(spec, params, x, h)
-            mask = action_mask(s, env)
-            a_idx = epsilon_greedy(q[0], mask, eps, rng)
-            assert mask[a_idx], "masking violated"
-            a = env.action_from_index(a_idx)
-            out = step(s, a, rng, env)
-            window.push((s.d, s.g, a.t))
-            r = reward(out.cost, privacy_breakdown(window).p_total,
-                       env.privacy_weight)
-            sd[n], sb[n], sg[n] = s.d, s.b, s.g
-            acts[n] = a_idx
-            rews[n] = r
-            baseline.add(r)
-            total += r
-            s = out.next_state
-            prev = a_idx
-            if len(buf) > 0 and n % cfg.update_every == 0:
-                windows = buf.sample_windows(cfg.batch_size, cfg.seq_len, rng)
-                params, _ = drqn_update(spec, params, target, opt, windows,
-                                        env, cfg, baseline.value,
-                                        baseline.scale)
-                grad_steps += 1
-                if grad_steps % cfg.target_update_period == 0:
-                    if cfg.polyak_conventional:
-                        target = polyak_update(online=params, target=target,
-                                               tau=1.0 - cfg.tau)
-                    else:
-                        target = polyak_update(target, params, cfg.tau)
-        sd[n_steps], sb[n_steps], sg[n_steps] = s.d, s.b, s.g
-        buf.push(EpisodeTrace(sd, sb, sg, acts, rews))
-        curve.append((ep, total, eps))
-    return TrainResult(label=label, spec=spec, params=params, curve=curve)
+    return EpisodeBuffer(cfg.buffer_capacity)
 
 
 class DRQNPolicy:
-    """Greedy recurrent policy; hidden state threads across an episode."""
+    """Epsilon-greedy recurrent policy; greedy at eps 0, the default. The
+    hidden state and the previous action thread across an episode."""
 
     def __init__(self, spec, params, env: EnvParams):
         self.spec = spec
         self.params = params
         self.env = env
-        self._h = init_hidden(spec, 1)
-        self._prev: int | None = None
+        self.eps = 0.0
+        self.reset(None)
 
-    def reset(self, rng: np.random.Generator) -> None:
+    def reset(self, rng: np.random.Generator | None) -> None:
+        self._rng = rng
         self._h = init_hidden(self.spec, 1)
-        self._prev = None
+        self._prev = -1
 
     def act(self, s: State) -> Action:
-        x = encode_observation(s, self._prev, self.env)[None, :]
+        x = encode(s.d, s.b, s.g, self.env, self._prev)[None, :]
         q, self._h = forward_step(self.spec, self.params, x, self._h)
-        masked = np.where(action_mask(s, self.env), q[0], -np.inf)
-        a_idx = int(np.argmax(masked))
-        self._prev = a_idx
-        return self.env.action_from_index(a_idx)
+        self._prev = epsilon_greedy(q[0], action_mask(s, self.env), self.eps,
+                                    self._rng)
+        return self.env.action_from_index(self._prev)
+
+
+DRQN = Learner(network_spec=drqn_network_spec, policy=DRQNPolicy,
+               replay=_episode_replay,
+               # Looked up at each call, so that a rebinding of drqn_update
+               # (bench/probes.py wraps it) reaches the trainer too.
+               update=lambda *args: drqn_update(*args))

@@ -1,4 +1,8 @@
-"""Replay storage: flat transitions for DQN, whole episodes for DRQN."""
+"""Replay storage: flat transitions for DQN, whole episodes for DRQN.
+
+Both stores take the trainer's slots through record(s, a, r, s_next) and
+end_episode(), and hand out training batches through sample_batch.
+"""
 from __future__ import annotations
 
 from collections import deque
@@ -43,6 +47,18 @@ class TransitionBuffer:
         idx = rng.integers(0, len(self._data), size=k)
         return [self._data[i] for i in idx]
 
+    def record(self, s: State, a: int, r: float, s_next: State) -> None:
+        self.push(Transition(s, a, r, s_next))
+
+    def end_episode(self) -> None:
+        pass
+
+    def sample_batch(self, cfg, rng: np.random.Generator):
+        """A batch of transitions, or None while fewer than one are stored."""
+        if len(self._data) < cfg.batch_size:
+            return None
+        return self.sample(cfg.batch_size, rng)
+
 
 @dataclass
 class EpisodeTrace:
@@ -74,6 +90,8 @@ class EpisodeBuffer:
         self.capacity_steps = capacity_steps
         self._episodes: deque[EpisodeTrace] = deque()
         self._steps = 0
+        self._open: list[tuple] = []
+        self._last: State | None = None
 
     def __len__(self) -> int:
         return len(self._episodes)
@@ -100,3 +118,24 @@ class EpisodeBuffer:
             start = int(rng.integers(0, len(ep) - seq_len + 1))
             out.append((ep, start))
         return out
+
+    def record(self, s: State, a: int, r: float, s_next: State) -> None:
+        """Add one slot to the open episode, stored whole at end_episode."""
+        self._open.append((s.d, s.b, s.g, a, r))
+        self._last = s_next
+
+    def end_episode(self) -> None:
+        d, b, g, actions, rewards = zip(*self._open)
+        s = self._last
+        self.push(EpisodeTrace(np.array(d + (s.d,), dtype=np.int64),
+                               np.array(b + (s.b,), dtype=np.int64),
+                               np.array(g + (s.g,), dtype=np.int64),
+                               np.array(actions, dtype=np.int64),
+                               np.array(rewards, dtype=np.float64)))
+        self._open = []
+
+    def sample_batch(self, cfg, rng: np.random.Generator):
+        """Windows of seq_len slots, or None until an episode is stored."""
+        if not self._episodes:
+            return None
+        return self.sample_windows(cfg.batch_size, cfg.seq_len, rng)

@@ -1,7 +1,6 @@
 """Reference policies: myopic cost-greedy and theta-randomized variants."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -28,26 +27,6 @@ def greedy_cost_action(s: State, p: EnvParams) -> Action:
     return best
 
 
-@dataclass(frozen=True)
-class ThetaPolicy:
-    """Randomization level of the theta-private baseline."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must be in [0, 1]")
-
-
-def theta_private_action(s: State, pol: ThetaPolicy, rng: np.random.Generator,
-                         p: EnvParams) -> Action:
-    """Uniform over valid actions with probability theta, else cost-greedy."""
-    if rng.random() < pol.theta:
-        options = valid_actions(s, p)
-        return options[rng.integers(0, len(options))]
-    return greedy_cost_action(s, p)
-
-
 class GreedyPolicy:
     """Deterministic cost-greedy policy with a precomputed state table."""
 
@@ -66,8 +45,10 @@ class ThetaPrivatePolicy:
     """Cost-greedy policy randomized uniformly with probability theta."""
 
     def __init__(self, env: EnvParams, theta: float):
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError("theta must be in [0, 1]")
         self.env = env
-        self.pol = ThetaPolicy(theta)
+        self.theta = theta
         self._greedy = {s: greedy_cost_action(s, env) for s in env.all_states()}
         self._valid = {s: valid_actions(s, env) for s in env.all_states()}
         self._rng: np.random.Generator | None = None
@@ -76,7 +57,7 @@ class ThetaPrivatePolicy:
         self._rng = rng
 
     def act(self, s: State) -> Action:
-        if self._rng.random() < self.pol.theta:
+        if self._rng.random() < self.theta:
             options = self._valid[s]
             return options[self._rng.integers(0, len(options))]
         return self._greedy[s]

@@ -15,18 +15,18 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import attack_evaluation, fit, format_report
-from .agents import DQNPolicy, DRQNPolicy, train_dqn, train_drqn
+from .agents import LEARNERS, obs_dim, state_dim
 from .baselines import GreedyPolicy, ThetaPrivatePolicy, UniformPolicy
 from .harness import (ConfigError, RunConfig, config_as_dict, evaluate,
                       load_config, rollout_trace, scaled_config, sweep_lambda,
-                      sweep_theta, write_attack_csv, write_learning_curve_csv,
-                      write_manifest, write_metrics_csv)
-from .nn import Dense, GRU, NetworkSpec, gradient_check, load_checkpoint, save_checkpoint
+                      sweep_theta, train, write_attack_csv,
+                      write_learning_curve_csv, write_manifest,
+                      write_metrics_csv)
+from .nn import (CheckpointError, Dense, GRU, NetworkSpec, gradient_check,
+                 load_checkpoint, save_checkpoint)
 
 DENSE_GRADCHECK_TOL = 1e-6
 GRU_GRADCHECK_TOL = 1e-4
-
-TRAINERS = {"dqn": train_dqn, "drqn": train_drqn}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Overrides that no config validation sees."""
+    if args.theta is not None and not 0.0 <= args.theta <= 1.0:
+        raise ConfigError(f"--theta must be in [0, 1], got {args.theta:g}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if getattr(args, "steps", 1) < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+
+
 def resolve_config(args) -> RunConfig:
+    _check_args(args)
     if args.config is not None:
         cfg = load_config(args.config, scale=args.scale, policy=args.agent)
     else:
@@ -80,8 +91,11 @@ def resolve_config(args) -> RunConfig:
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
     if args.lam is not None:
-        cfg = dataclasses.replace(
-            cfg, env=dataclasses.replace(cfg.env, privacy_weight=args.lam))
+        try:
+            env = dataclasses.replace(cfg.env, privacy_weight=args.lam)
+        except ValueError as exc:
+            raise ConfigError(f"--lambda {args.lam:g}: {exc}") from exc
+        cfg = dataclasses.replace(cfg, env=env)
     return cfg
 
 
@@ -103,25 +117,34 @@ def _build_policy(kind: str, cfg: RunConfig, args):
     checkpoint = getattr(args, "checkpoint", None)
     if checkpoint is None:
         raise ConfigError(f"--checkpoint required for agent {kind!r}")
-    spec, params = load_checkpoint(checkpoint)
-    if kind == "dqn":
-        return DQNPolicy(spec, params, env)
-    return DRQNPolicy(spec, params, env)
+    try:
+        spec, params = load_checkpoint(checkpoint)
+    except (OSError, CheckpointError) as exc:
+        raise ConfigError(f"cannot load checkpoint: {exc}") from exc
+    width = obs_dim(env) if kind == "drqn" else state_dim(env)
+    if spec.input_dim != width:
+        raise ConfigError(f"checkpoint input_dim {spec.input_dim} does not "
+                          f"match the {kind} encoder width {width}")
+    if spec.output_dim != env.n_actions:
+        raise ConfigError(f"checkpoint output_dim {spec.output_dim} does not "
+                          f"match n_actions {env.n_actions}")
+    if bool(spec.gru_units) != (kind == "drqn"):
+        raise ConfigError(f"a {kind} checkpoint must "
+                          f"{'have' if kind == 'drqn' else 'not have'} "
+                          f"a GRU layer")
+    return LEARNERS[kind].policy(spec, params, env)
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    if cfg.policy not in TRAINERS:
+    if cfg.policy not in LEARNERS:
         raise ConfigError("train requires --agent dqn or drqn")
     out = _out_dir(cfg)
-    seed = cfg.seeds[0]
-    result = TRAINERS[cfg.policy](cfg.env, cfg.agent,
-                                  np.random.default_rng(seed),
-                                  label=cfg.policy)
+    result = train(cfg.policy, cfg.env, cfg.agent,
+                   np.random.default_rng(cfg.seeds[0]))
     save_checkpoint(out / "checkpoint.qnet", result.spec, result.params)
     write_learning_curve_csv(out / "learning_curve.csv", result.curve)
-    policy = (DQNPolicy if cfg.policy == "dqn" else DRQNPolicy)(
-        result.spec, result.params, cfg.env)
+    policy = LEARNERS[cfg.policy].policy(result.spec, result.params, cfg.env)
     record = evaluate(policy, cfg.env, cfg.eval_episodes, cfg.seeds,
                       label=cfg.policy)
     write_metrics_csv(out / "metrics.csv", [record])

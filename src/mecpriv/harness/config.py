@@ -47,12 +47,21 @@ class RunConfig:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError("seeds must be >= 0")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
         if any(th < 0 or th > 1 for th in self.theta_grid):
             raise ConfigError("theta values must be in [0, 1]")
         if any(lam < 0 for lam in self.lambda_grid):
             raise ConfigError("lambda values must be >= 0")
+        # A sweep cell seeds its training by int(lambda * 1000) and names
+        # its files by f"{lambda:g}"; cells sharing either would coincide.
+        for key in (lambda lam: int(lam * 1000), lambda lam: f"{lam:g}"):
+            keys = [key(lam) for lam in self.lambda_grid]
+            if len(set(keys)) != len(keys):
+                raise ConfigError(f"lambda values {list(self.lambda_grid)} "
+                                  f"collide in sweep seeds or file names")
 
 
 def paper_env(**overrides) -> EnvParams:

@@ -6,10 +6,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ..agents import DRQNPolicy, train_drqn
+from ..agents import DRQNPolicy
 from ..baselines import GreedyPolicy, ThetaPrivatePolicy
 from ..env import EnvParams
-from .runner import RunRecord, evaluate
+from .runner import RunRecord, evaluate, train
 
 
 def _theta_cell(args) -> RunRecord:
@@ -29,9 +29,9 @@ def sweep_theta(thetas, env: EnvParams, episodes: int, seeds,
 def _lambda_cell(args):
     lam, env, agent_cfg, train_seed, episodes, seeds = args
     cell_env = dataclasses.replace(env, privacy_weight=float(lam))
-    result = train_drqn(cell_env, agent_cfg,
-                        np.random.default_rng([train_seed, int(lam * 1000)]),
-                        label=f"drqn lambda={lam:g}")
+    result = train("drqn", cell_env, agent_cfg,
+                   np.random.default_rng([train_seed, int(lam * 1000)]),
+                   label=f"drqn lambda={lam:g}")
     policy = DRQNPolicy(result.spec, result.params, cell_env)
     record = evaluate(policy, cell_env, episodes, seeds, label=result.label)
     return record, result

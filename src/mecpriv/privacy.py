@@ -24,8 +24,8 @@ class EmptyWindowError(ValueError):
 class WindowHistory:
     """FIFO window of (d, g, t) tuples with incremental marginal counts.
 
-    Counts for the joint and the (d,t), (g,t), (t) marginals are maintained
-    on push/evict so entropy queries cost O(distinct atoms), not O(window).
+    Counts for the (d,t), (g,t) and (t) marginals are maintained on
+    push/evict so entropy queries cost O(distinct atoms), not O(window).
     """
 
     def __init__(self, capacity: int, d_max: int | None = None,
@@ -36,7 +36,6 @@ class WindowHistory:
         self.d_max = d_max
         self.t_max = t_max
         self._entries: deque[Entry] = deque()
-        self._joint: Counter = Counter()
         self._dt: Counter = Counter()
         self._gt: Counter = Counter()
         self._t: Counter = Counter()
@@ -65,25 +64,17 @@ class WindowHistory:
             od, og, ot = self._entries.popleft()
             self._decrement((od, og, ot))
         self._entries.append((d, g, t))
-        self._joint[(d, g, t)] += 1
         self._dt[(d, t)] += 1
         self._gt[(g, t)] += 1
         self._t[t] += 1
 
     def _decrement(self, entry: Entry) -> None:
         d, g, t = entry
-        for counter, key in ((self._joint, (d, g, t)), (self._dt, (d, t)),
-                             (self._gt, (g, t)), (self._t, t)):
+        for counter, key in ((self._dt, (d, t)), (self._gt, (g, t)),
+                             (self._t, t)):
             counter[key] -= 1
             if counter[key] == 0:
                 del counter[key]
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._joint.clear()
-        self._dt.clear()
-        self._gt.clear()
-        self._t.clear()
 
 
 @dataclass(frozen=True)
@@ -96,27 +87,6 @@ class PrivacyBreakdown:
     p_total: float
     h_dt: float
     h_gt: float
-
-
-def empirical_joint(w: WindowHistory) -> dict[Entry, float]:
-    """Frequency estimate p(d,g,t) = count / window length."""
-    n = len(w)
-    if n == 0:
-        raise EmptyWindowError("empirical joint of an empty window")
-    return {key: m / n for key, m in w._joint.items()}
-
-
-def entropy(dist: Iterable[float]) -> float:
-    """Shannon entropy in bits of a probability vector; 0·log0 = 0."""
-    probs = list(dist)
-    total = 0.0
-    for p in probs:
-        if p < 0:
-            raise ValueError("probabilities must be >= 0")
-        total += p
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return -sum(p * math.log2(p) for p in probs if p > 0.0)
 
 
 def _entropy_from_counts(counts: Iterable[int], n: int) -> float:
@@ -171,8 +141,3 @@ class GreedyDeviationHeuristic:
 
 
 DEFAULT_HEURISTIC = GreedyDeviationHeuristic()
-
-
-def heuristic_privacy(s: State, a: Action, ctx=None) -> float:
-    """Pluggable baseline privacy score; see GreedyDeviationHeuristic."""
-    return (ctx or DEFAULT_HEURISTIC).score(s, a)

@@ -2,15 +2,16 @@
 
 Training is the expensive part of the suite; the acceptance tests and the
 agent behavior tests all read from these fixtures. Seeds are fixed so the
-whole suite is reproducible run to run.
+whole suite is reproducible run to run. Every test that requests one of
+the training fixtures (the *_run fixtures) is marked slow, so
+`pytest -m "not slow"` skips the training.
 """
 import dataclasses
 
 import numpy as np
 import pytest
 
-from mecpriv.agents import train_dqn, train_drqn
-from mecpriv.harness import desk_agent, desk_env
+from mecpriv.harness import desk_agent, desk_env, train
 
 TRAIN_SEEDS = {"dqn0": 101, "dqn10": 202, "drqn10": 303, "drqn2": 404,
                "drqn20": 505}
@@ -21,9 +22,15 @@ EVAL_EPISODES = 20
 def _train(kind: str, lam: float, seed: int):
     env = dataclasses.replace(desk_env(), privacy_weight=lam)
     cfg = desk_agent(kind)
-    trainer = train_dqn if kind == "dqn" else train_drqn
-    return env, cfg, trainer(env, cfg, np.random.default_rng(seed),
-                             label=f"{kind} lambda={lam:g}")
+    return env, cfg, train(kind, env, cfg, np.random.default_rng(seed),
+                           label=f"{kind} lambda={lam:g}")
+
+
+def pytest_collection_modifyitems(config, items):
+    for item in items:
+        if any(name.endswith("_run")
+               for name in getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
 
 
 @pytest.fixture(scope="session")

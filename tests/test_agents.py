@@ -3,16 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mecpriv.agents import (AgentConfig, DenseQ, DQNPolicy, DRQNPolicy,
-                            EpisodeBuffer, EpisodeTrace, Transition,
-                            TransitionBuffer, dqn_network_spec, dqn_update,
-                            drqn_network_spec, encode_observation,
-                            encode_state, epsilon_at, epsilon_greedy, obs_dim,
-                            state_dim, td_targets, train_dqn, train_drqn)
+from mecpriv.agents import (AgentConfig, DQNPolicy, DRQNPolicy, EpisodeBuffer,
+                            EpisodeTrace, Transition, TransitionBuffer,
+                            dqn_network_spec, dqn_update, drqn_network_spec,
+                            encode, epsilon_at, epsilon_greedy, obs_dim,
+                            state_dim, td_targets)
 from mecpriv.agents.common import RewardBaseline, alpha_at, loss_gradient
 from mecpriv.baselines import GreedyPolicy
 from mecpriv.env import Action, EnvParams, State, action_mask, valid_actions
-from mecpriv.harness import desk_agent, desk_env, evaluate
+from mecpriv.harness import desk_agent, desk_env, evaluate, train
 from mecpriv.nn import SGD, init_params
 from mecpriv.nn.network import zeros_like_params
 
@@ -27,26 +26,37 @@ TINY_DRQN = AgentConfig(episodes=3, batch_size=4, buffer_capacity=400,
 
 class TestEncoding:
     def test_state_encoding_three_ones(self):
-        x = encode_state(State(0, 0, 0), P)
-        assert x.sum() == 3.0
+        x = encode(0, 0, 0, P)
+        assert x.shape == (12,) and x.sum() == 3.0
         assert list(np.flatnonzero(x)) == [0, 4, 10]
 
     def test_observation_dimension(self):
         assert state_dim(P) == 12
         assert obs_dim(P) == 66
-        x = encode_observation(State(0, 0, 0), None, P)
+        x = encode(0, 0, 0, P, prev=-1)
         assert x.shape == (66,) and x.sum() == 3.0
-        x = encode_observation(State(1, 2, 1), 7, P)
+        x = encode(1, 2, 1, P, prev=7)
         assert x.sum() == 4.0 and x[12 + 7] == 1.0
 
     def test_injective_over_states(self):
-        seen = {tuple(encode_state(s, P)) for s in P.all_states()}
+        seen = {tuple(encode(s.d, s.b, s.g, P)) for s in P.all_states()}
         assert len(seen) == P.n_states
 
     def test_injective_with_prev_actions(self):
-        seen = {tuple(encode_observation(State(1, 1, 1), a, P))
-                for a in [None, *range(P.n_actions)]}
+        seen = {tuple(encode(1, 1, 1, P, prev=a))
+                for a in [-1, *range(P.n_actions)]}
         assert len(seen) == P.n_actions + 1
+
+    def test_arrays_encode_like_scalars(self):
+        rng = np.random.default_rng(8)
+        d, b, g = (rng.integers(0, n, size=(5, 3)) for n in (4, 6, 2))
+        prev = rng.integers(-1, P.n_actions, size=(5, 3))
+        x = encode(d, b, g, P, prev)
+        assert x.shape == (5, 3, 66)
+        for i in range(5):
+            for j in range(3):
+                assert np.array_equal(
+                    x[i, j], encode(d[i, j], b[i, j], g[i, j], P, prev[i, j]))
 
 
 class TestEpsilonGreedy:
@@ -149,14 +159,14 @@ class TestTdTargets:
     def test_matches_scalar_recompute(self):
         rng = np.random.default_rng(5)
         spec = dqn_network_spec(P, TINY_DQN)
-        q = DenseQ(spec, init_params(spec, rng), P)
+        q = DQNPolicy(spec, init_params(spec, rng), P)
         states = P.all_states()
         batch = [Transition(states[rng.integers(48)], int(rng.integers(54)),
                             float(rng.normal()), states[rng.integers(48)])
                  for _ in range(64)]
         y = td_targets(batch, q, 0.9)
         for i, tr in enumerate(batch):
-            qv = q.q_single(tr.s_next)
+            qv = q.q_batch([tr.s_next])[0]
             best = qv[action_mask(tr.s_next, P)].max()
             # batched and single-row matmuls may differ in the last ulp
             assert y[i] == pytest.approx(tr.r + 0.9 * best, abs=1e-12)
@@ -165,7 +175,7 @@ class TestTdTargets:
         rng = np.random.default_rng(6)
         spec = dqn_network_spec(P, TINY_DQN)
         params = init_params(spec, rng)
-        q = DenseQ(spec, params, P)
+        q = DQNPolicy(spec, params, P)
         states = P.all_states()
         samples = [(states[rng.integers(48)], int(rng.integers(54)),
                     states[rng.integers(48)]) for _ in range(16)]
@@ -248,31 +258,31 @@ class TestReplay:
 
 class TestTraining:
     def test_dqn_deterministic_curves(self):
-        runs = [train_dqn(TINY_ENV, TINY_DQN, np.random.default_rng(9))
+        runs = [train("dqn", TINY_ENV, TINY_DQN, np.random.default_rng(9))
                 for _ in range(2)]
         assert runs[0].curve == runs[1].curve
 
     def test_drqn_deterministic_curves(self):
-        runs = [train_drqn(TINY_ENV, TINY_DRQN, np.random.default_rng(9))
+        runs = [train("drqn", TINY_ENV, TINY_DRQN, np.random.default_rng(9))
                 for _ in range(2)]
         assert runs[0].curve == runs[1].curve
 
     def test_drqn_degenerate_window_trains(self):
         cfg = dataclasses.replace(TINY_DRQN, seq_len=1, tbptt_len=1)
-        result = train_drqn(TINY_ENV, cfg, np.random.default_rng(2))
+        result = train("drqn", TINY_ENV, cfg, np.random.default_rng(2))
         assert len(result.curve) == cfg.episodes
         assert all(np.isfinite(r) for _, r, _ in result.curve)
 
     def test_drqn_seq_len_validated(self):
         cfg = dataclasses.replace(TINY_DRQN, seq_len=100)
         with pytest.raises(ValueError):
-            train_drqn(TINY_ENV, cfg, np.random.default_rng(0))
+            train("drqn", TINY_ENV, cfg, np.random.default_rng(0))
 
     def test_scaled_dqn_matches_greedy_cost(self):
         env = dataclasses.replace(desk_env(), episode_len=300,
                                   privacy_weight=0.0)
         cfg = desk_agent("dqn", episodes=200)
-        result = train_dqn(env, cfg, np.random.default_rng(77))
+        result = train("dqn", env, cfg, np.random.default_rng(77))
         policy = DQNPolicy(result.spec, result.params, env)
         ours = evaluate(policy, env, 10, (5, 6), "dqn").avg_cost_per_task
         ref = evaluate(GreedyPolicy(env), env, 10, (5, 6),
@@ -300,7 +310,8 @@ class TestTraining:
 class TestGreedyActing:
     def test_policy_table_covers_state_space(self, dqn_lambda0_run):
         env, _, result = dqn_lambda0_run
-        table = DQNPolicy(result.spec, result.params, env).action_table()
+        pol = DQNPolicy(result.spec, result.params, env)
+        table = {s: pol.act(s) for s in env.all_states()}
         assert set(table) == set(env.all_states())
         for s, a in table.items():
             assert a in valid_actions(s, env)

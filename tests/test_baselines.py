@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mecpriv.baselines import (GreedyPolicy, ThetaPolicy, ThetaPrivatePolicy,
-                               UniformPolicy, greedy_cost_action,
-                               theta_private_action)
+from mecpriv.baselines import (GreedyPolicy, ThetaPrivatePolicy,
+                               UniformPolicy, greedy_cost_action)
 from mecpriv.env import Action, EnvParams, State, cost, valid_actions
 
 P = EnvParams()
@@ -39,47 +38,49 @@ class TestGreedy:
             assert pol.act(s) == greedy_cost_action(s, P)
 
 
+def theta_policy(theta, seed):
+    pol = ThetaPrivatePolicy(P, theta)
+    pol.reset(np.random.default_rng(seed))
+    return pol
+
+
 class TestThetaPrivate:
     def test_theta_validated(self):
         with pytest.raises(ValueError):
-            ThetaPolicy(1.2)
+            ThetaPrivatePolicy(P, 1.2)
         with pytest.raises(ValueError):
-            ThetaPolicy(-0.1)
+            ThetaPrivatePolicy(P, -0.1)
 
     def test_theta_zero_is_greedy_everywhere(self):
-        rng = np.random.default_rng(1)
-        pol = ThetaPolicy(0.0)
+        pol = theta_policy(0.0, 1)
         for s in P.all_states():
             for _ in range(5):
-                assert theta_private_action(s, pol, rng, P) == \
-                    greedy_cost_action(s, P)
+                assert pol.act(s) == greedy_cost_action(s, P)
 
     def test_theta_one_uniform_over_valid(self):
-        rng = np.random.default_rng(2)
+        pol = theta_policy(1.0, 2)
         s = State(2, 0, 1)
         options = valid_actions(s, P)
         counts = {a: 0 for a in options}
         n = 100_000
         for _ in range(n):
-            counts[theta_private_action(s, ThetaPolicy(1.0), rng, P)] += 1
+            counts[pol.act(s)] += 1
         for a in options:
             assert abs(counts[a] / n - 1 / len(options)) < 0.01
 
     def test_theta_half_mixture_frequency(self):
-        rng = np.random.default_rng(3)
+        pol = theta_policy(0.5, 3)
         s = State(2, 0, 1)
         greedy = greedy_cost_action(s, P)
         n_valid = len(valid_actions(s, P))
         assert n_valid == 6
         n = 100_000
-        hits = sum(theta_private_action(s, ThetaPolicy(0.5), rng, P) == greedy
-                   for _ in range(n))
+        hits = sum(pol.act(s) == greedy for _ in range(n))
         expected = 0.5 + 0.5 / n_valid
         assert abs(hits / n - expected) < 0.01
 
     def test_wrapper_only_emits_valid_actions(self):
-        pol = ThetaPrivatePolicy(P, 0.7)
-        pol.reset(np.random.default_rng(4))
+        pol = theta_policy(0.7, 4)
         for s in P.all_states():
             for _ in range(20):
                 a = pol.act(s)
@@ -87,4 +88,4 @@ class TestThetaPrivate:
 
     def test_uniform_policy_is_theta_one(self):
         pol = UniformPolicy(P)
-        assert pol.pol.theta == 1.0
+        assert pol.theta == 1.0

@@ -1,7 +1,11 @@
 import csv
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from mecpriv.cli import main
+from mecpriv.nn import Dense, GRU, NetworkSpec, init_params, save_checkpoint
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -51,6 +55,57 @@ class TestExitCodes:
     def test_checkpoint_required_for_trained_agents(self, tmp_path):
         assert main(["evaluate", "--agent", "dqn", "--scale", "desk",
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--agent", "theta", "--theta", "1.5"],
+        ["sweep-theta", "--theta", "1.5"],
+        ["evaluate", "--agent", "greedy", "--lambda", "-1"],
+        ["evaluate", "--agent", "greedy", "--seed", "-1"],
+        ["attack", "--agent", "greedy", "--steps", "0"],
+        ["attack", "--agent", "greedy", "--steps", "-3"],
+        ["sweep-theta", "--theta", "0", "--jobs", "0"],
+        ["sweep-theta", "--theta", "0", "--jobs", "-2"],
+    ], ids=["theta-evaluate", "theta-sweep", "lambda", "seed", "steps-zero",
+            "steps-negative", "jobs-zero", "jobs-negative"])
+    def test_bad_override_is_config_error(self, argv, tmp_path):
+        assert main(argv + ["--scale", "desk", "--out", str(tmp_path)]) == 3
+
+
+def _net(input_dim, hidden, output_dim=54):
+    return NetworkSpec(input_dim=input_dim,
+                       layers=(hidden, Dense(output_dim, "identity")))
+
+
+class TestCheckpointMismatch:
+    # desk widths: state encoding 12, observation encoding 66, 54 actions
+    @pytest.mark.parametrize("kind, spec", [
+        ("drqn", _net(10, GRU(8))),
+        ("dqn", _net(66, Dense(8, "relu"))),
+        ("drqn", _net(66, GRU(8), output_dim=7)),
+        ("dqn", _net(12, Dense(8, "relu"), output_dim=55)),
+        ("dqn", _net(12, GRU(8))),
+        ("drqn", _net(66, Dense(8, "relu"))),
+    ], ids=["drqn-input", "dqn-input", "drqn-output", "dqn-output",
+            "dqn-with-gru", "drqn-without-gru"])
+    @pytest.mark.parametrize("command", ["evaluate", "attack"])
+    def test_is_config_error(self, tmp_path, capsys, command, kind, spec):
+        path = tmp_path / "net.qnet"
+        save_checkpoint(path, spec, init_params(spec,
+                                                np.random.default_rng(0)))
+        assert main([command, "--agent", kind, "--scale", "desk",
+                     "--checkpoint", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "config error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"not a checkpoint"],
+                             ids=["missing", "garbage"])
+    def test_unreadable_is_config_error(self, tmp_path, content):
+        path = tmp_path / "net.qnet"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["evaluate", "--agent", "drqn", "--scale", "desk",
+                     "--checkpoint", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
 
 
 class TestValidateConfig:

@@ -4,14 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mecpriv.agents import AgentConfig
-from mecpriv.baselines import GreedyPolicy, UniformPolicy
+from mecpriv.agents import AgentConfig, DRQNPolicy, drqn_network_spec
+from mecpriv.baselines import GreedyPolicy, ThetaPrivatePolicy, UniformPolicy
 from mecpriv.env import EnvParams
 from mecpriv.harness import (ConfigError, RunConfig, config_as_dict,
                              desk_agent, desk_env, episode_metrics,
                              episode_rng, evaluate, load_config, paper_env,
-                             run_episode, scaled_config, sweep_lambda,
-                             sweep_theta, write_manifest, write_metrics_csv)
+                             rollout_trace, run_episode, scaled_config,
+                             sweep_lambda, sweep_theta, write_manifest,
+                             write_metrics_csv)
+from mecpriv.nn import init_params
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DESK = desk_env()
@@ -49,6 +51,26 @@ class TestRunEpisode:
             DESK.delay_weight * m.avg_delay_per_task + m.avg_energy_per_task,
             abs=1e-9)
         assert m.tasks_handled == int(log.l.sum() + log.t.sum())
+
+    @pytest.mark.parametrize("kind", ["greedy", "theta", "uniform", "drqn"])
+    def test_rollout_and_episode_share_rng_order(self, kind):
+        # rollout_trace skips the privacy window; nothing else may differ
+        if kind == "drqn":
+            cfg = AgentConfig(gru_layers=1, gru_units=8, dense_layers=1,
+                              dense_units=8)
+            spec = drqn_network_spec(DESK, cfg)
+            policy = DRQNPolicy(spec, init_params(spec,
+                                                  np.random.default_rng(0)),
+                                DESK)
+        else:
+            policy = {"greedy": GreedyPolicy(DESK),
+                      "theta": ThetaPrivatePolicy(DESK, 0.5),
+                      "uniform": UniformPolicy(DESK)}[kind]
+        for seed in (0, 1):
+            trace = rollout_trace(policy, DESK, episode_rng(seed, 0),
+                                  DESK.episode_len)
+            log = run_episode(policy, DESK, episode_rng(seed, 0))
+            assert np.array_equal(trace, np.stack([log.d, log.g, log.t], 1))
 
     def test_per_step_log_consistency(self):
         log = run_episode(UniformPolicy(DESK), DESK, episode_rng(5, 0))
@@ -186,6 +208,18 @@ out_dir = runs/test
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(env=paper_env(), agent=AgentConfig(), seeds=(1, 1))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            RunConfig(env=paper_env(), agent=AgentConfig(), seeds=(1, -1))
+
+    @pytest.mark.parametrize("grid", [(2.0, 2.0000001), (2.0, 2.0004),
+                                      (2.0, 2.0000001, 2.0004)])
+    def test_colliding_lambda_cells_rejected(self, grid):
+        # equal int(lambda * 1000) shares a training seed, equal
+        # f"{lambda:g}" an output file name
+        with pytest.raises(ConfigError):
+            RunConfig(env=paper_env(), agent=AgentConfig(), lambda_grid=grid)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):

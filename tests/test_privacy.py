@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mecpriv.env import Action, State
-from mecpriv.privacy import (EmptyWindowError, GreedyDeviationHeuristic,
-                             WindowHistory, empirical_joint, entropy,
-                             heuristic_privacy, privacy_breakdown)
+from mecpriv.privacy import (DEFAULT_HEURISTIC, EmptyWindowError,
+                             GreedyDeviationHeuristic, WindowHistory,
+                             privacy_breakdown)
 
 
 def random_window(rng, size, capacity=None):
@@ -15,6 +15,21 @@ def random_window(rng, size, capacity=None):
     for _ in range(size):
         w.push((int(rng.integers(0, 4)), int(rng.integers(0, 2)),
                 int(rng.integers(0, 9))))
+    return w
+
+
+def fresh_window(w):
+    """A window that never evicted, holding w's entries."""
+    fresh = WindowHistory(w.capacity, d_max=w.d_max, t_max=w.t_max)
+    for e in w.entries:
+        fresh.push(e)
+    return fresh
+
+
+def window_of(entries):
+    w = WindowHistory(len(entries))
+    for e in entries:
+        w.push(e)
     return w
 
 
@@ -50,7 +65,8 @@ class TestWindow:
         w = WindowHistory(4)
         for _ in range(4):
             w.push((2, 1, 3))
-        assert empirical_joint(w) == {(2, 1, 3): 1.0}
+        assert w.entries == ((2, 1, 3),) * 4
+        assert privacy_breakdown(w).h_dt == 0.0
 
     def test_out_of_range_rejected(self):
         w = WindowHistory(4, d_max=3, t_max=8)
@@ -58,52 +74,38 @@ class TestWindow:
             with pytest.raises(ValueError):
                 w.push(bad)
 
-    def test_clear(self):
-        w = WindowHistory(4)
-        w.push((1, 1, 1))
-        w.clear()
-        assert len(w) == 0
-
 
 class TestEmpiricalJoint:
+    """The window's incremental counts against recounts of its entries."""
+
     def test_counting(self):
-        w = WindowHistory(8)
-        for e in [(1, 1, 1), (1, 1, 1), (2, 0, 0), (3, 1, 2)]:
-            w.push(e)
-        assert empirical_joint(w) == {
-            (1, 1, 1): 0.5, (2, 0, 0): 0.25, (3, 1, 2): 0.25}
+        w = window_of([(1, 1, 1), (1, 1, 1), (2, 0, 0), (3, 1, 2)])
+        br = privacy_breakdown(w)
+        # t and (d, t) both split 2:1:1; (g, t) too
+        assert (br.h_t, br.h_dt, br.h_gt) == (1.5, 1.5, 1.5)
+        assert br.h_d_given_t == br.h_g_given_t == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyWindowError):
-            empirical_joint(WindowHistory(3))
-
-    def test_random_windows_normalized_and_match_recount(self):
+    def test_random_evicting_windows_match_recount(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
-            w = random_window(rng, int(rng.integers(1, 40)))
-            joint = empirical_joint(w)
-            assert abs(sum(joint.values()) - 1.0) < 1e-12
-            recount = Counter(w.entries)
-            assert joint == {k: m / len(w) for k, m in recount.items()}
+            w = random_window(rng, int(rng.integers(1, 80)), capacity=32)
+            assert privacy_breakdown(w) == privacy_breakdown(fresh_window(w))
 
 
 class TestEntropy:
+    """Entropy in bits of the volume marginal, h_t."""
+
     def test_uniform_four(self):
-        assert entropy([0.25] * 4) == pytest.approx(2.0)
+        w = window_of([(0, 0, t) for t in range(4)])
+        assert privacy_breakdown(w).h_t == 2.0
 
     def test_point_mass(self):
-        assert entropy([1.0, 0.0, 0.0]) == 0.0
+        w = window_of([(0, 0, 5)] * 3)
+        assert privacy_breakdown(w).h_t == 0.0
 
     def test_hand_value(self):
-        assert entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            entropy([0.5, 0.4])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            entropy([1.2, -0.2])
+        w = window_of([(0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 2)])
+        assert privacy_breakdown(w).h_t == 1.5
 
 
 class TestBreakdown:
@@ -180,19 +182,18 @@ class TestBreakdown:
         rng = np.random.default_rng(4)
         w = random_window(rng, 200, capacity=32)  # heavy eviction
         assert len(w) == 32
-        joint = empirical_joint(w)
-        assert joint == {k: m / 32 for k, m in Counter(w.entries).items()}
+        assert privacy_breakdown(w) == privacy_breakdown(fresh_window(w))
 
 
 class TestHeuristic:
     def test_no_deviation_scores_zero(self):
-        assert heuristic_privacy(State(3, 0, 1), Action(0, 3)) == 0.0
+        assert DEFAULT_HEURISTIC.score(State(3, 0, 1), Action(0, 3)) == 0.0
 
     def test_offload_in_bad_channel(self):
-        assert heuristic_privacy(State(3, 0, 0), Action(0, 2)) == 2.0
+        assert DEFAULT_HEURISTIC.score(State(3, 0, 0), Action(0, 2)) == 2.0
 
     def test_local_in_good_channel(self):
-        assert heuristic_privacy(State(3, 0, 1), Action(0, 0)) == 3.0
+        assert DEFAULT_HEURISTIC.score(State(3, 0, 1), Action(0, 0)) == 3.0
 
     def test_labeled_as_standin(self):
         assert "standin" in GreedyDeviationHeuristic.name
