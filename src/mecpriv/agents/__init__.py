@@ -1,16 +1,10 @@
-from .common import (AgentConfig, Learner, TrainResult, dqn_network_spec,
-                     drqn_network_spec, encode, epsilon_at, epsilon_greedy,
-                     obs_dim, state_dim)
-from .replay import EpisodeBuffer, EpisodeTrace, Transition, TransitionBuffer
-from .dqn import DQN, DQNPolicy, dqn_update, td_targets
-from .drqn import DRQN, DRQNPolicy, drqn_update
-
-LEARNERS = {"dqn": DQN, "drqn": DRQN}
+from .common import (AgentConfig, TrainResult, encode, epsilon_at,
+                     epsilon_greedy, network_spec, obs_dim, state_dim)
+from .replay import EpisodeBuffer, EpisodeTrace, TransitionBuffer
+from .qlearn import QPolicy, q_update
 
 __all__ = [
-    "AgentConfig", "DQN", "DQNPolicy", "DRQN", "DRQNPolicy", "EpisodeBuffer",
-    "EpisodeTrace", "LEARNERS", "Learner", "TrainResult", "Transition",
-    "TransitionBuffer", "dqn_network_spec", "dqn_update",
-    "drqn_network_spec", "drqn_update", "encode", "epsilon_at",
-    "epsilon_greedy", "obs_dim", "state_dim", "td_targets",
+    "AgentConfig", "EpisodeBuffer", "EpisodeTrace", "QPolicy", "TrainResult",
+    "TransitionBuffer", "encode", "epsilon_at", "epsilon_greedy",
+    "network_spec", "obs_dim", "q_update", "state_dim",
 ]

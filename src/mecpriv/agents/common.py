@@ -2,14 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from ..env import EnvParams, valid_mask_matrix
 from ..nn import Dense, GRU, NetworkSpec, Params
 
-OPTIMIZERS = ("adam", "sgd")
 LOSSES = ("mse", "huber")
 
 
@@ -34,7 +32,6 @@ class AgentConfig:
     gru_units: int = 128
     dense_layers: int = 2
     dense_units: int = 128
-    optimizer: str = "adam"
     loss: str = "mse"
     polyak_conventional: bool = False
     update_every: int = 1
@@ -63,8 +60,6 @@ class AgentConfig:
             raise ValueError("layer counts must be >= 0")
         if self.tbptt_len > self.seq_len:
             raise ValueError("tbptt_len cannot exceed seq_len")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
 
@@ -119,19 +114,16 @@ def epsilon_greedy(q_values: np.ndarray, valid_mask: np.ndarray, eps: float,
     return int(np.argmax(masked))
 
 
-def dqn_network_spec(p: EnvParams, cfg: AgentConfig) -> NetworkSpec:
-    """Feed-forward value net on the state encoding."""
-    layers = [Dense(cfg.dense_units, "relu") for _ in range(cfg.dense_layers)]
-    layers.append(Dense(p.n_actions, "identity"))
-    return NetworkSpec(input_dim=state_dim(p), layers=tuple(layers))
-
-
-def drqn_network_spec(p: EnvParams, cfg: AgentConfig) -> NetworkSpec:
-    """Recurrent value net on the state-plus-previous-action encoding."""
-    layers: list = [GRU(cfg.gru_units) for _ in range(cfg.gru_layers)]
+def network_spec(p: EnvParams, cfg: AgentConfig,
+                 recurrent: bool) -> NetworkSpec:
+    """Value net: dense layers on the state encoding, or, if recurrent,
+    GRU layers then dense layers on the state-plus-previous-action one."""
+    layers: list = ([GRU(cfg.gru_units) for _ in range(cfg.gru_layers)]
+                    if recurrent else [])
     layers += [Dense(cfg.dense_units, "relu") for _ in range(cfg.dense_layers)]
     layers.append(Dense(p.n_actions, "identity"))
-    return NetworkSpec(input_dim=obs_dim(p), layers=tuple(layers))
+    return NetworkSpec(input_dim=obs_dim(p) if recurrent else state_dim(p),
+                       layers=tuple(layers))
 
 
 def loss_gradient(td_error: np.ndarray, kind: str) -> np.ndarray:
@@ -153,25 +145,6 @@ class TrainResult:
 
     def curve_rewards(self) -> np.ndarray:
         return np.array([row[1] for row in self.curve])
-
-
-@dataclass(frozen=True)
-class Learner:
-    """What sets one Q-learner apart from the other; the shared trainer
-    runs the rest.
-
-    network_spec(env, cfg) builds the net, policy(spec, params, env) is its
-    epsilon-greedy actor (greedy at eps 0), replay(env, cfg) makes the store
-    the trainer feeds each slot through record(s, a, r, s_next), closes with
-    end_episode() and draws from with sample_batch(cfg, rng) (None until it
-    can fill a batch), and update(spec, params, target, opt, batch, env,
-    cfg, baseline, scale) takes one gradient step, returning (params, loss).
-    """
-
-    network_spec: Callable
-    policy: type
-    replay: Callable
-    update: Callable
 
 
 class RewardBaseline:

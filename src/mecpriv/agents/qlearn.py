@@ -1,0 +1,79 @@
+"""Q-learning with replay and soft targets, feed-forward or recurrent.
+
+A batch is B sequences of T slots. The update zeroes the hidden state at
+each sequence start, burns it in with forward passes and puts the TD loss
+only on the final truncation bundle of L = min(tbptt_len, T) slots. Hidden
+values cross the bundle boundary, gradients do not. The bootstrap side
+threads the target net's own hidden state over the next-state sequence.
+A DQN is the case T = 1 on a net with no GRU layer: no burn-in, and the
+loss on every sampled slot.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from ..env import Action, EnvParams, State, action_mask
+from ..nn import backward, forward, forward_step, init_hidden
+from .common import (AgentConfig, encode, epsilon_greedy, loss_gradient,
+                     masked_max, obs_dim)
+
+
+class QPolicy:
+    """Epsilon-greedy policy of a Q-net; greedy at eps 0, the default, which
+    is how trained nets are evaluated. A net on the observation encoding
+    also reads the previous action, and its hidden state threads across
+    an episode."""
+
+    def __init__(self, spec, params, env: EnvParams):
+        self.spec = spec
+        self.params = params
+        self.env = env
+        self.eps = 0.0
+        self._reads_prev = spec.input_dim == obs_dim(env)
+        self.reset(None)
+
+    def reset(self, rng: np.random.Generator | None) -> None:
+        self._rng = rng
+        self._h = init_hidden(self.spec, 1)
+        self._prev = -1
+
+    def act(self, s: State) -> Action:
+        prev = self._prev if self._reads_prev else None
+        x = encode(s.d, s.b, s.g, self.env, prev)[None, :]
+        q, self._h = forward_step(self.spec, self.params, x, self._h)
+        self._prev = epsilon_greedy(q[0], action_mask(s, self.env), self.eps,
+                                    self._rng)
+        return self.env.action_from_index(self._prev)
+
+
+def q_update(spec, params, target_params, opt, batch, env: EnvParams,
+             cfg: AgentConfig, baseline: float = 0.0, scale: float = 1.0):
+    """One gradient step on the mean TD loss; returns (params, loss).
+
+    batch is a replay store's (x_on, x_tg, acts, rews, next_ids), with
+    (T, B) actions. Rewards enter the TD targets as (r - baseline) / scale.
+    """
+    x_on, x_tg, acts, rews, next_ids = batch
+    T, B = acts.shape
+    L = min(cfg.tbptt_len, T)
+    burn = T - L
+    h_on = h_tg = None
+    if burn > 0:
+        _, h_on, _ = forward(spec, params, x_on[:burn], collect_cache=False,
+                             outputs=False)
+        _, h_tg, _ = forward(spec, target_params, x_tg[:burn],
+                             collect_cache=False, outputs=False)
+    q_on, _, cache = forward(spec, params, x_on[burn:], h_on)
+    q_tg, _, _ = forward(spec, target_params, x_tg[burn:], h_tg,
+                         collect_cache=False)
+    best = masked_max(q_tg, next_ids[burn:], env)
+    y = (rews[burn:] - baseline) / scale + cfg.gamma * best
+    rows = np.arange(B)
+    cols = acts[burn:]
+    kk = np.arange(L)[:, None]
+    taken = q_on[kk, rows, cols]
+    err = taken - y
+    dout = np.zeros_like(q_on)
+    dout[kk, rows, cols] = loss_gradient(err, cfg.loss)
+    grads = backward(cache, dout)
+    return opt.step(params, grads), float(np.mean(err * err))

@@ -1,7 +1,10 @@
-"""Replay storage: flat transitions for DQN, whole episodes for DRQN.
+"""Replay storage: single slots for the DQN, whole episodes for the DRQN.
 
 Both stores take the trainer's slots through record(s, a, r, s_next) and
-end_episode(), and hand out training batches through sample_batch.
+end_episode(). sample_batch hands out B sequences of T slots, encoded as
+(x_on, x_tg, acts, rews, next_ids): the online and target nets' inputs,
+(T, B) actions and rewards, and the state ids of the next states. A
+single-slot store samples sequences of T = 1.
 """
 from __future__ import annotations
 
@@ -10,54 +13,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..env import State
+from ..env import EnvParams, State, state_id
+from .common import encode
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: State
-    a: int
-    r: float
-    s_next: State
+def _batch(d, b, g, acts, rews, env: EnvParams, prev=None):
+    """Encode (T + 1, B) state columns, and prev actions if given.
+
+    The target net reads the next state, which is the online net's input
+    one slot later, so both are views of one (T + 1)-slot encoding.
+    """
+    x = encode(d, b, g, env, prev)
+    return x[:-1], x[1:], acts, rews, state_id(d[1:], b[1:], g[1:], env)
 
 
 class TransitionBuffer:
-    """Ring buffer with uniform sampling."""
+    """Ring buffer of slots with uniform sampling."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._data: list[Transition] = []
-        self._pos = 0
+        # (d, b, g) of the state, then of the next state, per ring position
+        self._states = np.empty((2, 3, capacity), dtype=np.int64)
+        self._actions = np.empty(capacity, dtype=np.int64)
+        self._rewards = np.empty(capacity)
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._data)
-
-    def push(self, tr: Transition) -> None:
-        if len(self._data) < self.capacity:
-            self._data.append(tr)
-        else:
-            self._data[self._pos] = tr
-            self._pos = (self._pos + 1) % self.capacity
-
-    def sample(self, k: int, rng: np.random.Generator) -> list[Transition]:
-        if not self._data:
-            raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._data), size=k)
-        return [self._data[i] for i in idx]
+        return min(self._count, self.capacity)
 
     def record(self, s: State, a: int, r: float, s_next: State) -> None:
-        self.push(Transition(s, a, r, s_next))
+        """Store one slot, overwriting the oldest once full."""
+        i = self._count % self.capacity
+        self._states[:, :, i] = ((s.d, s.b, s.g), (s_next.d, s_next.b,
+                                                   s_next.g))
+        self._actions[i] = a
+        self._rewards[i] = r
+        self._count += 1
 
     def end_episode(self) -> None:
         pass
 
-    def sample_batch(self, cfg, rng: np.random.Generator):
-        """A batch of transitions, or None while fewer than one are stored."""
-        if len(self._data) < cfg.batch_size:
+    def sample_batch(self, cfg, env: EnvParams, rng: np.random.Generator):
+        """batch_size one-slot sequences drawn uniformly with replacement,
+        or None while fewer slots are stored."""
+        n = len(self)
+        if n < cfg.batch_size:
             return None
-        return self.sample(cfg.batch_size, rng)
+        idx = rng.integers(0, n, size=cfg.batch_size)
+        d, b, g = self._states[:, :, idx].transpose(1, 0, 2)
+        return _batch(d, b, g, self._actions[idx][None],
+                      self._rewards[idx][None], env)
 
 
 @dataclass
@@ -134,8 +141,19 @@ class EpisodeBuffer:
                                np.array(rewards, dtype=np.float64)))
         self._open = []
 
-    def sample_batch(self, cfg, rng: np.random.Generator):
-        """Windows of seq_len slots, or None until an episode is stored."""
+    def sample_batch(self, cfg, env: EnvParams, rng: np.random.Generator):
+        """batch_size windows of seq_len slots, or None until an episode is
+        stored. The observations carry the previous action, none (-1) at
+        an episode start."""
         if not self._episodes:
             return None
-        return self.sample_windows(cfg.batch_size, cfg.seq_len, rng)
+        windows = self.sample_windows(cfg.batch_size, cfg.seq_len, rng)
+        T = cfg.seq_len
+        cut = lambda name, n: np.stack(
+            [getattr(ep, name)[w:w + n] for ep, w in windows], axis=1)
+        acts = cut("actions", T)
+        prev = np.vstack([
+            [(ep.actions[w - 1] if w > 0 else -1) for ep, w in windows],
+            acts])
+        return _batch(cut("d", T + 1), cut("b", T + 1), cut("g", T + 1),
+                      acts, cut("rewards", T), env, prev)

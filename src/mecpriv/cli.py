@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import attack_evaluation, fit, format_report
-from .agents import LEARNERS, obs_dim, state_dim
+from .agents import QPolicy, obs_dim, state_dim
 from .baselines import GreedyPolicy, ThetaPrivatePolicy, UniformPolicy
 from .harness import (ConfigError, RunConfig, config_as_dict, evaluate,
                       load_config, rollout_trace, scaled_config, sweep_lambda,
@@ -44,17 +44,22 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--agent", choices=("dqn", "drqn", "greedy", "theta", "uniform"))
     common.add_argument("--lambda", dest="lam", type=float,
                         help="privacy reward weight override")
-    common.add_argument("--theta", type=float, help="randomization level for the theta agent")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers across sweep cells")
+    theta = argparse.ArgumentParser(add_help=False)
+    theta.add_argument("--theta", type=float,
+                       help="randomization level for the theta agent")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1,
+                      help="parallel workers across sweep cells")
 
     sub.add_parser("train", parents=[common], help="train a dqn or drqn agent")
-    ev = sub.add_parser("evaluate", parents=[common], help="evaluate a policy")
+    ev = sub.add_parser("evaluate", parents=[common, theta],
+                        help="evaluate a policy")
     ev.add_argument("--checkpoint", type=Path, help="trained network for dqn/drqn")
-    sub.add_parser("sweep-theta", parents=[common], help="evaluate the theta grid")
-    sub.add_parser("sweep-lambda", parents=[common],
+    sub.add_parser("sweep-theta", parents=[common, theta, jobs],
+                   help="evaluate the theta grid")
+    sub.add_parser("sweep-lambda", parents=[common, jobs],
                    help="train and evaluate one agent per privacy weight")
-    at = sub.add_parser("attack", parents=[common],
+    at = sub.add_parser("attack", parents=[common, theta],
                         help="fit the volume attacker against a policy")
     at.add_argument("--checkpoint", type=Path)
     at.add_argument("--steps", type=int, default=100_000,
@@ -67,10 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Overrides that no config validation sees."""
-    if args.theta is not None and not 0.0 <= args.theta <= 1.0:
-        raise ConfigError(f"--theta must be in [0, 1], got {args.theta:g}")
-    if args.jobs < 1:
+    """Overrides that no config validation sees; each command declares
+    only the flags it uses."""
+    theta = getattr(args, "theta", None)
+    if theta is not None and not 0.0 <= theta <= 1.0:
+        raise ConfigError(f"--theta must be in [0, 1], got {theta:g}")
+    if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if getattr(args, "steps", 1) < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
@@ -107,13 +114,14 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _build_policy(kind: str, cfg: RunConfig, args):
     env = cfg.env
+    if args.theta is not None and kind != "theta":
+        raise ConfigError(f"--theta applies to the theta agent, not {kind!r}")
     if kind == "greedy":
         return GreedyPolicy(env)
     if kind == "uniform":
         return UniformPolicy(env)
     if kind == "theta":
-        theta = args.theta if args.theta is not None else 0.5
-        return ThetaPrivatePolicy(env, theta)
+        return ThetaPrivatePolicy(env, 0.5 if args.theta is None else args.theta)
     checkpoint = getattr(args, "checkpoint", None)
     if checkpoint is None:
         raise ConfigError(f"--checkpoint required for agent {kind!r}")
@@ -132,19 +140,19 @@ def _build_policy(kind: str, cfg: RunConfig, args):
         raise ConfigError(f"a {kind} checkpoint must "
                           f"{'have' if kind == 'drqn' else 'not have'} "
                           f"a GRU layer")
-    return LEARNERS[kind].policy(spec, params, env)
+    return QPolicy(spec, params, env)
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    if cfg.policy not in LEARNERS:
+    if cfg.policy not in ("dqn", "drqn"):
         raise ConfigError("train requires --agent dqn or drqn")
     out = _out_dir(cfg)
     result = train(cfg.policy, cfg.env, cfg.agent,
                    np.random.default_rng(cfg.seeds[0]))
     save_checkpoint(out / "checkpoint.qnet", result.spec, result.params)
     write_learning_curve_csv(out / "learning_curve.csv", result.curve)
-    policy = LEARNERS[cfg.policy].policy(result.spec, result.params, cfg.env)
+    policy = QPolicy(result.spec, result.params, cfg.env)
     record = evaluate(policy, cfg.env, cfg.eval_episodes, cfg.seeds,
                       label=cfg.policy)
     write_metrics_csv(out / "metrics.csv", [record])
@@ -160,7 +168,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(cfg)
     policy = _build_policy(cfg.policy, cfg, args)
     label = cfg.policy if cfg.policy != "theta" else \
-        f"theta={args.theta if args.theta is not None else 0.5:g}"
+        f"theta={policy.theta:g}"
     record = evaluate(policy, cfg.env, cfg.eval_episodes, cfg.seeds, label=label)
     write_metrics_csv(out / "metrics.csv", [record])
     write_manifest(out / "manifest.json", config_as_dict(cfg), cfg.seeds,
@@ -210,8 +218,7 @@ def cmd_sweep_lambda(args) -> int:
 def cmd_attack(args) -> int:
     cfg = resolve_config(args)
     out = _out_dir(cfg)
-    kind = cfg.policy if args.agent is None else args.agent
-    policy = _build_policy(kind, cfg, args)
+    policy = _build_policy(cfg.policy, cfg, args)
     seed = cfg.seeds[0]
     fit_trace = rollout_trace(policy, cfg.env,
                               np.random.default_rng([seed, 0]), args.steps)
@@ -219,9 +226,9 @@ def cmd_attack(args) -> int:
                                np.random.default_rng([seed, 1]), args.steps)
     model = fit(fit_trace, n_d=cfg.env.d_max + 1, n_g=2)
     report = attack_evaluation(eval_trace, model)
-    print(format_report(kind, report))
+    print(format_report(cfg.policy, report))
     write_attack_csv(out / "attack.csv", [{
-        "label": kind,
+        "label": cfg.policy,
         "success_d": report.success_d, "bound_d": report.bound_d,
         "success_g": report.success_g, "bound_g": report.bound_g,
         "n_eval": report.n_eval, "unseen_t": ";".join(map(str, report.unseen_t)),
@@ -249,12 +256,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_validate_config(args) -> int:
-    if args.config is None:
-        scaled_config(args.scale)
-        print("built-in defaults: OK")
-        return 0
-    cfg = load_config(args.config, scale=args.scale)
-    print(f"{args.config}: OK (policy {cfg.policy}, "
+    cfg = resolve_config(args)
+    source = "built-in defaults" if args.config is None else args.config
+    print(f"{source}: OK (policy {cfg.policy}, "
           f"{cfg.agent.episodes} episodes x {cfg.env.episode_len} steps)")
     return 0
 

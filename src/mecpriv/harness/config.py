@@ -125,13 +125,15 @@ def desk_agent(kind: str = "drqn", **overrides) -> AgentConfig:
     return AgentConfig(**base)
 
 
-def scaled_config(scale: str, policy: str = "drqn", **run_overrides) -> RunConfig:
+def scaled_config(scale: str, policy: str = "drqn") -> RunConfig:
+    """The preset of a scale; configs/<scale>.ini holds the same values."""
     if scale == "paper":
         return RunConfig(env=paper_env(), agent=paper_agent(), policy=policy,
-                         **run_overrides)
+                         lambda_grid=(2.0, 5.0, 8.0, 10.0, 16.0, 20.0),
+                         out_dir="runs/paper")
     if scale == "desk":
         return RunConfig(env=desk_env(), agent=desk_agent(policy),
-                         policy=policy, **run_overrides)
+                         policy=policy, out_dir="runs/desk")
     raise ConfigError(f"unknown scale {scale!r}")
 
 
@@ -227,7 +229,7 @@ def load_config(path: str | Path, scale: str | None = None,
             base.env, **_parse_section(parser, "env", base.env))
         agent = dataclasses.replace(
             base.agent, **_parse_section(parser, "agent", base.agent))
-        return RunConfig(env=env, agent=agent, **run_kwargs)
+        return dataclasses.replace(base, env=env, agent=agent, **run_kwargs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

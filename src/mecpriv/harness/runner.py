@@ -5,11 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..agents import LEARNERS, AgentConfig, TrainResult, epsilon_at
+from ..agents import (AgentConfig, EpisodeBuffer, QPolicy, TrainResult,
+                      TransitionBuffer, epsilon_at, network_spec, q_update)
 from ..agents.common import RewardBaseline, alpha_at
 from ..baselines import Policy
 from ..env import EnvParams, reward, sample_initial_state, step
-from ..nn import clone_params, init_params, make_optimizer, polyak_update
+from ..nn import Adam, clone_params, init_params, polyak_update
 from ..privacy import DEFAULT_HEURISTIC, WindowHistory, privacy_breakdown
 
 
@@ -180,19 +181,27 @@ def rollout_trace(policy: Policy, env: EnvParams, rng: np.random.Generator,
 
 def train(kind: str, env: EnvParams, cfg: AgentConfig,
           rng: np.random.Generator, label: str | None = None) -> TrainResult:
-    """Replay-based Q-learning over full episodes for a kind in LEARNERS.
+    """Replay-based Q-learning over full episodes, kind "dqn" or "drqn".
 
-    The learner's own policy acts epsilon-greedily in rewarded episodes.
-    Each slot goes to its replay store; every update_every slots, once the
-    store can fill a batch, one gradient step follows, with a soft target
-    update every target_update_period gradient steps.
+    The two kinds differ only in their net's input and replay store: the
+    DQN samples single slots, the DRQN windows of seq_len slots whose
+    observations carry the previous action. The learner's own policy acts
+    epsilon-greedily in rewarded episodes. Each slot goes to the store;
+    every update_every slots, once the store can fill a batch, one
+    gradient step follows, with a soft target update every
+    target_update_period gradient steps.
     """
-    learner = LEARNERS[kind]
-    spec = learner.network_spec(env, cfg)
-    actor = learner.policy(spec, init_params(spec, rng), env)
+    if kind not in ("dqn", "drqn"):
+        raise ValueError(f"unknown learner {kind!r}")
+    recurrent = kind == "drqn"
+    if recurrent and cfg.seq_len > env.episode_len:
+        raise ValueError("seq_len cannot exceed episode_len")
+    spec = network_spec(env, cfg, recurrent)
+    actor = QPolicy(spec, init_params(spec, rng), env)
     target = clone_params(actor.params)
-    opt = make_optimizer(cfg.optimizer, cfg.alpha)
-    replay = learner.replay(env, cfg)
+    opt = Adam(cfg.alpha)
+    replay = (EpisodeBuffer if recurrent else TransitionBuffer)(
+        cfg.buffer_capacity)
     baseline = RewardBaseline(cfg.center_rewards, cfg.scale_rewards)
     # The conventional direction keeps 1 - tau of the old target.
     keep = 1.0 - cfg.tau if cfg.polyak_conventional else cfg.tau
@@ -208,8 +217,8 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
             baseline.add(r)
             total += r
             if n % cfg.update_every == 0 and \
-                    (batch := replay.sample_batch(cfg, rng)) is not None:
-                actor.params, _ = learner.update(
+                    (batch := replay.sample_batch(cfg, env, rng)) is not None:
+                actor.params, _ = q_update(
                     spec, actor.params, target, opt, batch, env, cfg,
                     baseline.value, baseline.scale)
                 grad_steps += 1

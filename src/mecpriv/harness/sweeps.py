@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ..agents import DRQNPolicy
+from ..agents import QPolicy
 from ..baselines import GreedyPolicy, ThetaPrivatePolicy
 from ..env import EnvParams
 from .runner import RunRecord, evaluate, train
@@ -32,7 +32,7 @@ def _lambda_cell(args):
     result = train("drqn", cell_env, agent_cfg,
                    np.random.default_rng([train_seed, int(lam * 1000)]),
                    label=f"drqn lambda={lam:g}")
-    policy = DRQNPolicy(result.spec, result.params, cell_env)
+    policy = QPolicy(result.spec, result.params, cell_env)
     record = evaluate(policy, cell_env, episodes, seeds, label=result.label)
     return record, result
 

@@ -1,4 +1,4 @@
-"""Optimizers and the soft target-parameter update."""
+"""The Adam optimizer and the soft target-parameter update."""
 from __future__ import annotations
 
 import numpy as np
@@ -18,19 +18,6 @@ def _check_shapes(a: Params, b: Params, what: str) -> None:
             set(la) != set(lb) or any(la[k].shape != lb[k].shape for k in la)
             for la, lb in zip(a, b)):
         raise ValueError(f"{what}: parameter structures do not match")
-
-
-class SGD:
-    """Plain gradient descent, the literal update rule of the training loop."""
-
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: Params, grads: Params) -> Params:
-        _check_shapes(params, grads, "sgd step")
-        _check_finite(grads)
-        return [{k: p[k] - self.lr * g[k] for k in p}
-                for p, g in zip(params, grads)]
 
 
 class Adam:
@@ -68,14 +55,6 @@ class Adam:
                     np.sqrt(v[k] / bc2) + self.eps)
             out.append(layer)
         return out
-
-
-def make_optimizer(name: str, lr: float):
-    if name == "adam":
-        return Adam(lr)
-    if name == "sgd":
-        return SGD(lr)
-    raise ValueError(f"unknown optimizer {name!r}")
 
 
 def polyak_update(target: Params, online: Params, tau: float) -> Params:

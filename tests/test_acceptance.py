@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from mecpriv.adversary import attack_evaluation, fit
-from mecpriv.agents import DQNPolicy, DRQNPolicy
+from mecpriv.agents import QPolicy
 from mecpriv.baselines import (GreedyPolicy, ThetaPrivatePolicy,
                                UniformPolicy, greedy_cost_action)
 from mecpriv.env import Action, EnvParams
@@ -85,7 +85,7 @@ def test_criterion_4_attack_bound(drqn_lambda10_run):
         ("greedy", GreedyPolicy(env), env),
         ("theta=0.5", ThetaPrivatePolicy(env, 0.5), env),
         ("theta=1", UniformPolicy(env), env),
-        ("drqn", DRQNPolicy(drqn_result.spec, drqn_result.params, drqn_env),
+        ("drqn", QPolicy(drqn_result.spec, drqn_result.params, drqn_env),
          drqn_env),
     ]
     details = []
@@ -125,7 +125,7 @@ def test_criterion_5_theta_sweep_monotone():
 
 def test_criterion_6_nonprivate_dqn_matches_greedy(dqn_lambda0_run):
     env, _, result = dqn_lambda0_run
-    policy = DQNPolicy(result.spec, result.params, env)
+    policy = QPolicy(result.spec, result.params, env)
     ours = evaluate(policy, env, EVAL_EPISODES, EVAL_SEEDS,
                     "dqn").avg_cost_per_task
     ref = evaluate(GreedyPolicy(env), env, EVAL_EPISODES, EVAL_SEEDS,
@@ -143,7 +143,7 @@ def test_criterion_7_privacy_learning_direction(drqn_lambda10_run,
     for lam, fixture in ((10, drqn_lambda10_run), (2, drqn_lambda2_run),
                          (20, drqn_lambda20_run)):
         env, _, result = fixture
-        policy = DRQNPolicy(result.spec, result.params, env)
+        policy = QPolicy(result.spec, result.params, env)
         records[lam] = evaluate(policy, env, EVAL_EPISODES, EVAL_SEEDS,
                                 f"drqn lambda={lam}")
     greedy = evaluate(GreedyPolicy(desk_env()), desk_env(), EVAL_EPISODES,

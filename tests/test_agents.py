@@ -3,16 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mecpriv.agents import (AgentConfig, DQNPolicy, DRQNPolicy, EpisodeBuffer,
-                            EpisodeTrace, Transition, TransitionBuffer,
-                            dqn_network_spec, dqn_update, drqn_network_spec,
-                            encode, epsilon_at, epsilon_greedy, obs_dim,
-                            state_dim, td_targets)
+from mecpriv.agents import (AgentConfig, EpisodeBuffer, EpisodeTrace, QPolicy,
+                            TransitionBuffer, encode, epsilon_at,
+                            epsilon_greedy, network_spec, obs_dim, q_update,
+                            state_dim)
 from mecpriv.agents.common import RewardBaseline, alpha_at, loss_gradient
 from mecpriv.baselines import GreedyPolicy
-from mecpriv.env import Action, EnvParams, State, action_mask, valid_actions
+from mecpriv.env import (Action, EnvParams, State, action_mask, state_id,
+                         valid_actions, valid_mask_matrix)
 from mecpriv.harness import desk_agent, desk_env, evaluate, train
-from mecpriv.nn import SGD, init_params
+from mecpriv.nn import Adam, backward, clone_params, forward, init_params
 from mecpriv.nn.network import zeros_like_params
 
 P = EnvParams()
@@ -111,27 +111,67 @@ class TestEpsilonGreedy:
             AgentConfig(alpha_decay=decay)
 
 
+def one_slot_batch(s, a, r, s_next):
+    """A batch (x_on, x_tg, acts, rews, next_ids) of one one-slot sequence."""
+    x = encode([s.d, s_next.d], [s.b, s_next.b], [s.g, s_next.g], P)
+    return (x[:1, None], x[1:, None], np.array([[a]]), np.array([[r]]),
+            np.array([[state_id(s_next.d, s_next.b, s_next.g, P)]]))
+
+
+def constant_q(spec, value):
+    """Params whose net outputs value for every action and input."""
+    params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
+    params[-1]["b"][:] = value
+    return params
+
+
+def reference_dqn_update(spec, params, target_params, opt, transitions, env,
+                         cfg, baseline, scale):
+    """The feed-forward update as it was written before the learners were
+    merged: per-transition state columns, targets from a separate encoding
+    of the next states."""
+    cols = lambda states: np.array([(s.d, s.b, s.g) for s in states],
+                                   dtype=np.int64).T
+    next_states = [tr[3] for tr in transitions]
+    q_next = forward(spec, target_params,
+                     encode(*cols(next_states), env)[None, :, :],
+                     collect_cache=False)[0][0]
+    best = np.where(valid_mask_matrix(env)[state_id(*cols(next_states), env)],
+                    q_next, -np.inf).max(axis=-1)
+    y = (np.array([tr[2] for tr in transitions]) - baseline) / scale \
+        + cfg.gamma * best
+    actions = np.array([tr[1] for tr in transitions])
+    xs = encode(*cols([tr[0] for tr in transitions]), env)[None, :, :]
+    out, _, cache = forward(spec, params, xs)
+    rows = np.arange(len(transitions))
+    err = out[0][rows, actions] - y
+    dout = np.zeros_like(out)
+    dout[0][rows, actions] = loss_gradient(err, cfg.loss)
+    return opt.step(params, backward(cache, dout)), float(np.mean(err * err))
+
+
 class TestTdTargets:
-    class StubQ:
-        """Fixed Q table over next states, valid everywhere."""
+    # A net with zero weights outputs its last bias for every action, so
+    # the online value q and the target's best next value are constants,
+    # and the loss of one slot is (q - target)^2.
+    SPEC = network_spec(P, AgentConfig(dense_layers=1, dense_units=8), False)
 
-        def __init__(self, value, env):
-            self.value = value
-            self.env = env
-
-        def q_batch(self, states):
-            return np.full((len(states), self.env.n_actions), self.value)
+    def loss(self, r, gamma, q=1.0, best=2.0, baseline=0.0, scale=1.0):
+        batch = one_slot_batch(State(1, 0, 1), 0, r, State(2, 0, 1))
+        cfg = AgentConfig(gamma=gamma)
+        _, loss = q_update(self.SPEC, constant_q(self.SPEC, q),
+                           constant_q(self.SPEC, best), Adam(0.1), batch, P,
+                           cfg, baseline, scale)
+        return loss
 
     def test_arithmetic(self):
-        batch = [Transition(State(1, 0, 1), 0, 1.0, State(2, 0, 1))]
-        y = td_targets(batch, self.StubQ(2.0, P), gamma=0.9)
-        assert y[0] == pytest.approx(2.8)
+        # target 1.0 + 0.5 * 2.0 = 2.0
+        assert self.loss(1.0, 0.5) == (1.0 - 2.0) ** 2
 
     def test_baseline_and_scale_transform_reward(self):
-        batch = [Transition(State(1, 0, 1), 0, 7.0, State(2, 0, 1))]
-        y = td_targets(batch, self.StubQ(2.0, P), 0.9, baseline=3.0,
-                       scale=2.0)
-        assert y[0] == pytest.approx((7.0 - 3.0) / 2.0 + 0.9 * 2.0)
+        # target (7.0 - 3.0) / 2.0 + 0.5 * 2.0 = 3.0
+        assert self.loss(7.0, 0.5, baseline=3.0, scale=2.0) == \
+            (1.0 - 3.0) ** 2
 
     def test_reward_baseline_tracks_mean_and_std(self):
         rewards = [3.0, -1.0, 4.0, 10.0]
@@ -149,46 +189,82 @@ class TestTdTargets:
         assert scale.scale == pytest.approx(np.std(rewards))
 
     def test_gamma_zero_returns_reward(self):
-        batch = [Transition(State(1, 0, 1), 0, -3.5, State(2, 0, 1))]
-        assert td_targets(batch, self.StubQ(2.0, P), 0.0)[0] == -3.5
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            td_targets([], self.StubQ(0.0, P), 0.9)
+        # the target is the reward alone, whatever the next values
+        assert self.loss(-3.5, 0.0, best=1e6) == (1.0 + 3.5) ** 2
 
     def test_matches_scalar_recompute(self):
         rng = np.random.default_rng(5)
-        spec = dqn_network_spec(P, TINY_DQN)
-        q = DQNPolicy(spec, init_params(spec, rng), P)
+        spec = network_spec(P, TINY_DQN, False)
+        params, target = (init_params(spec, rng) for _ in range(2))
         states = P.all_states()
-        batch = [Transition(states[rng.integers(48)], int(rng.integers(54)),
-                            float(rng.normal()), states[rng.integers(48)])
-                 for _ in range(64)]
-        y = td_targets(batch, q, 0.9)
-        for i, tr in enumerate(batch):
-            qv = q.q_batch([tr.s_next])[0]
-            best = qv[action_mask(tr.s_next, P)].max()
-            # batched and single-row matmuls may differ in the last ulp
-            assert y[i] == pytest.approx(tr.r + 0.9 * best, abs=1e-12)
+        buf = TransitionBuffer(64)
+        for _ in range(64):
+            buf.record(states[rng.integers(48)], int(rng.integers(54)),
+                       float(rng.normal()), states[rng.integers(48)])
+        cfg = dataclasses.replace(TINY_DQN, batch_size=64)
+        batch = buf.sample_batch(cfg, P, np.random.default_rng(1))
+        _, loss = q_update(spec, params, target, Adam(0.1), batch, P, cfg)
+        x_on, x_tg, acts, rews, next_ids = batch
+        errs = []
+        for i in range(64):
+            q = forward(spec, params, x_on[:, i:i + 1], collect_cache=False)
+            q_next = forward(spec, target, x_tg[:, i:i + 1],
+                             collect_cache=False)
+            best = q_next[0][0, 0][valid_mask_matrix(P)[next_ids[0, i]]].max()
+            errs.append(q[0][0, 0, acts[0, i]] - (rews[0, i] + 0.9 * best))
+        # batched and single-row matmuls may differ in the last ulp
+        assert loss == pytest.approx(np.mean(np.square(errs)), rel=1e-12)
 
     def test_zero_td_error_gives_zero_update(self):
         rng = np.random.default_rng(6)
-        spec = dqn_network_spec(P, TINY_DQN)
+        spec = network_spec(P, TINY_DQN, False)
         params = init_params(spec, rng)
-        q = DQNPolicy(spec, params, P)
         states = P.all_states()
         samples = [(states[rng.integers(48)], int(rng.integers(54)),
                     states[rng.integers(48)]) for _ in range(16)]
-        q_now = q.q_batch([s for s, _, _ in samples])
-        # gamma = 0 makes the targets exactly the current taken-action values
-        batch = [Transition(s, a, float(q_now[i, a]), s2)
-                 for i, (s, a, s2) in enumerate(samples)]
-        cfg = dataclasses.replace(TINY_DQN, optimizer="sgd", gamma=0.0)
-        new_params, loss = dqn_update(spec, params, params, SGD(0.1), batch,
-                                      P, cfg)
-        assert loss == pytest.approx(0.0, abs=1e-20)
+        xs = encode(*np.array([(s.d, s.b, s.g) for s, _, _ in samples]).T, P)
+        q_now = forward(spec, params, xs[None], collect_cache=False)[0][0]
+        # gamma = 0 makes the targets exactly the current taken-action
+        # values; Adam moves no parameter on a zero gradient
+        buf = TransitionBuffer(16)
+        for i, (s, a, s2) in enumerate(samples):
+            buf.record(s, a, float(q_now[i, a]), s2)
+        cfg = dataclasses.replace(TINY_DQN, batch_size=16, gamma=0.0)
+        batch = buf.sample_batch(cfg, P, np.random.default_rng(0))
+        new_params, loss = q_update(spec, params, params, Adam(0.1), batch,
+                                    P, cfg)
+        assert loss == 0.0
         assert all(np.array_equal(a[k], b[k])
                    for a, b in zip(params, new_params) for k in a)
+
+    @pytest.mark.parametrize("loss", ["mse", "huber"])
+    def test_one_slot_update_is_the_dqn_update_bitwise(self, loss):
+        rng = np.random.default_rng(11)
+        spec = network_spec(P, TINY_DQN, False)
+        params, target = (init_params(spec, rng) for _ in range(2))
+        states = P.all_states()
+        transitions = [(states[rng.integers(48)], int(rng.integers(54)),
+                        float(rng.normal(30.0, 20.0)),
+                        states[rng.integers(48)]) for _ in range(50)]
+        buf = TransitionBuffer(32)  # wraps: holds the last 32
+        for tr in transitions:
+            buf.record(*tr)
+        ring = transitions[-32:]
+        ring = ring[-(50 % 32):] + ring[:-(50 % 32)]  # by ring position
+        cfg = dataclasses.replace(TINY_DQN, batch_size=20, loss=loss)
+        batch = buf.sample_batch(cfg, P, np.random.default_rng(3))
+        drawn = np.random.default_rng(3).integers(0, 32, size=20)
+        opts = (Adam(1e-2), Adam(1e-2))
+        for _ in range(3):  # Adam's moments carry over between steps
+            got, got_loss = q_update(spec, params, target, opts[0], batch, P,
+                                     cfg, 31.5, 17.25)
+            want, want_loss = reference_dqn_update(
+                spec, params, target, opts[1], [ring[i] for i in drawn], P,
+                cfg, 31.5, 17.25)
+            assert got_loss == want_loss
+            assert all(np.array_equal(a[k], b[k])
+                       for a, b in zip(got, want) for k in a)
+            params = got
 
     def test_loss_gradient_shapes(self):
         err = np.array([[1.0, -4.0]])
@@ -198,27 +274,51 @@ class TestTdTargets:
 
 
 class TestReplay:
+    S0 = State(0, 0, 0)
+
     def test_ring_eviction_order(self):
         buf = TransitionBuffer(3)
-        trs = [Transition(State(0, 0, 0), i, 0.0, State(0, 0, 0))
-               for i in range(5)]
-        for tr in trs:
-            buf.push(tr)
+        for a in range(5):
+            buf.record(State(a % 4, 0, 0), a, float(a), self.S0)
         assert len(buf) == 3
-        stored = {tr.a for tr in buf._data}
-        assert stored == {2, 3, 4}
+        # records 3 and 4 overwrote ring positions 0 and 1
+        cfg = AgentConfig(batch_size=3)
+        _, _, acts, rews, _ = buf.sample_batch(cfg, P,
+                                               np.random.default_rng(3))
+        drawn = np.random.default_rng(3).integers(0, 3, size=3)
+        assert len(set(drawn)) > 1
+        assert np.array_equal(acts[0], np.array([3, 4, 2])[drawn])
+        assert np.array_equal(rews[0], np.array([3.0, 4.0, 2.0])[drawn])
 
     def test_sampling_reproducible(self):
         buf = TransitionBuffer(10)
         for i in range(10):
-            buf.push(Transition(State(0, 0, 0), i, 0.0, State(0, 0, 0)))
-        a = [t.a for t in buf.sample(6, np.random.default_rng(3))]
-        b = [t.a for t in buf.sample(6, np.random.default_rng(3))]
-        assert a == b
+            buf.record(State(i % 4, i % 6, i % 2), i, float(i),
+                       State(0, i % 6, 0))
+        cfg = AgentConfig(batch_size=6)
+        a, b = (buf.sample_batch(cfg, P, np.random.default_rng(3))
+                for _ in range(2))
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            TransitionBuffer(4).sample(1, np.random.default_rng(0))
+        # neither store hands out a batch before it can fill one
+        cfg = AgentConfig(batch_size=2, seq_len=8, tbptt_len=4)
+        rng = np.random.default_rng(0)
+        buf = TransitionBuffer(4)
+        assert buf.sample_batch(cfg, P, rng) is None
+        buf.record(self.S0, 0, 0.0, self.S0)
+        assert buf.sample_batch(cfg, P, rng) is None
+        assert EpisodeBuffer(100).sample_batch(cfg, P, rng) is None
+
+    def test_batches_encode_the_stored_slots(self):
+        buf = TransitionBuffer(2)
+        buf.record(State(1, 2, 1), 7, 0.5, State(3, 4, 0))
+        x_on, x_tg, acts, rews, next_ids = buf.sample_batch(
+            AgentConfig(batch_size=1), P, np.random.default_rng(0))
+        assert np.array_equal(x_on[0, 0], encode(1, 2, 1, P))
+        assert np.array_equal(x_tg[0, 0], encode(3, 4, 0, P))
+        assert (acts.shape, acts[0, 0], rews[0, 0]) == ((1, 1), 7, 0.5)
+        assert next_ids[0, 0] == state_id(3, 4, 0, P)
 
     def _trace(self, n, tag=0):
         return EpisodeTrace(d=np.zeros(n + 1, dtype=np.int64),
@@ -283,7 +383,7 @@ class TestTraining:
                                   privacy_weight=0.0)
         cfg = desk_agent("dqn", episodes=200)
         result = train("dqn", env, cfg, np.random.default_rng(77))
-        policy = DQNPolicy(result.spec, result.params, env)
+        policy = QPolicy(result.spec, result.params, env)
         ours = evaluate(policy, env, 10, (5, 6), "dqn").avg_cost_per_task
         ref = evaluate(GreedyPolicy(env), env, 10, (5, 6),
                        "greedy").avg_cost_per_task
@@ -310,27 +410,27 @@ class TestTraining:
 class TestGreedyActing:
     def test_policy_table_covers_state_space(self, dqn_lambda0_run):
         env, _, result = dqn_lambda0_run
-        pol = DQNPolicy(result.spec, result.params, env)
+        pol = QPolicy(result.spec, result.params, env)
         table = {s: pol.act(s) for s in env.all_states()}
         assert set(table) == set(env.all_states())
         for s, a in table.items():
             assert a in valid_actions(s, env)
 
     def test_equal_q_values_pick_lowest_valid(self):
-        spec = drqn_network_spec(P, TINY_DRQN)
+        spec = network_spec(P, TINY_DRQN, True)
         params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
-        pol = DRQNPolicy(spec, params, P)
+        pol = QPolicy(spec, params, P)
         pol.reset(np.random.default_rng(0))
         for s in (State(3, 2, 1), State(0, 0, 0), State(1, 5, 0)):
             assert pol.act(s) == Action(0, 0)
 
     def test_recurrent_policy_deterministic_stream(self):
         rng = np.random.default_rng(4)
-        spec = drqn_network_spec(P, TINY_DRQN)
+        spec = network_spec(P, TINY_DRQN, True)
         params = init_params(spec, rng)
         stream = [State(int(rng.integers(4)), int(rng.integers(6)),
                         int(rng.integers(2))) for _ in range(30)]
-        pol = DRQNPolicy(spec, params, P)
+        pol = QPolicy(spec, params, P)
         seqs = []
         for _ in range(2):
             pol.reset(rng)
@@ -339,6 +439,6 @@ class TestGreedyActing:
 
     def test_policies_emit_only_valid_actions(self, dqn_lambda0_run):
         env, _, result = dqn_lambda0_run
-        pol = DQNPolicy(result.spec, result.params, env)
+        pol = QPolicy(result.spec, result.params, env)
         for s in env.all_states():
             assert pol.act(s) in valid_actions(s, env)

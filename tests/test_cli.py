@@ -70,6 +70,26 @@ class TestExitCodes:
     def test_bad_override_is_config_error(self, argv, tmp_path):
         assert main(argv + ["--scale", "desk", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("command", ["evaluate", "attack"])
+    @pytest.mark.parametrize("agent", ["greedy", "uniform", "drqn"])
+    def test_theta_needs_theta_agent(self, tmp_path, capsys, command, agent):
+        assert main([command, "--agent", agent, "--theta", "0.3",
+                     "--scale", "desk", "--out", str(tmp_path)]) == 3
+        assert "--theta" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--agent", "greedy", "--jobs", "3"],
+        ["attack", "--agent", "greedy", "--jobs", "2"],
+        ["train", "--agent", "dqn", "--jobs", "2"],
+        ["train", "--agent", "dqn", "--theta", "0.3"],
+        ["sweep-lambda", "--theta", "0.3"],
+        ["validate-config", "--jobs", "2"],
+    ], ids=["evaluate-jobs", "attack-jobs", "train-jobs", "train-theta",
+            "sweep-lambda-theta", "validate-jobs"])
+    def test_undeclared_flag_is_usage_error(self, argv, tmp_path):
+        assert main(argv + ["--scale", "desk", "--out", str(tmp_path)]) == 2
+
 
 def _net(input_dim, hidden, output_dim=54):
     return NetworkSpec(input_dim=input_dim,
@@ -118,6 +138,17 @@ class TestValidateConfig:
         assert main(["validate-config", "--config",
                      str(REPO / "configs" / "desk.ini"),
                      "--scale", "desk"]) == 0
+
+    @pytest.mark.parametrize("agent", ["dqn", "greedy"])
+    def test_reports_the_resolved_policy(self, capsys, agent):
+        assert main(["validate-config", "--config",
+                     str(REPO / "configs" / "desk.ini"), "--scale", "desk",
+                     "--agent", agent]) == 0
+        assert f"(policy {agent}, 300 episodes" in capsys.readouterr().out
+
+    def test_overrides_are_validated(self):
+        assert main(["validate-config", "--scale", "desk",
+                     "--lambda", "-1"]) == 3
 
     def test_builtin_defaults(self):
         assert main(["validate-config"]) == 0

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mecpriv.agents import AgentConfig, DRQNPolicy, drqn_network_spec
+from mecpriv.agents import AgentConfig, QPolicy, network_spec
 from mecpriv.baselines import GreedyPolicy, ThetaPrivatePolicy, UniformPolicy
 from mecpriv.env import EnvParams
 from mecpriv.harness import (ConfigError, RunConfig, config_as_dict,
@@ -58,10 +58,10 @@ class TestRunEpisode:
         if kind == "drqn":
             cfg = AgentConfig(gru_layers=1, gru_units=8, dense_layers=1,
                               dense_units=8)
-            spec = drqn_network_spec(DESK, cfg)
-            policy = DRQNPolicy(spec, init_params(spec,
-                                                  np.random.default_rng(0)),
-                                DESK)
+            spec = network_spec(DESK, cfg, True)
+            policy = QPolicy(spec, init_params(spec,
+                                               np.random.default_rng(0)),
+                             DESK)
         else:
             policy = {"greedy": GreedyPolicy(DESK),
                       "theta": ThetaPrivatePolicy(DESK, 0.5),
@@ -182,10 +182,7 @@ out_dir = runs/test
     def test_shipped_config_is_builtin_preset(self, scale, policy):
         shipped = load_config(CONFIGS / f"{scale}.ini", scale=scale,
                               policy=policy)
-        builtin = scaled_config(scale, policy=policy or "drqn")
-        assert shipped.policy == builtin.policy
-        assert shipped.env == builtin.env
-        assert shipped.agent == builtin.agent
+        assert shipped == scaled_config(scale, policy=policy or "drqn")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mecpriv.nn import (Adam, CheckpointError, Dense, GRU, NetworkSpec, SGD,
+from mecpriv.nn import (Adam, CheckpointError, Dense, GRU, NetworkSpec,
                         backward, clone_params, forward, forward_step,
                         gradient_check, init_hidden, init_params,
                         load_checkpoint, polyak_update, save_checkpoint,
@@ -32,9 +32,9 @@ class TestSpec:
                                              Dense(2, "identity")))
 
     def test_default_recurrent_stack(self):
-        from mecpriv.agents import AgentConfig, drqn_network_spec
+        from mecpriv.agents import AgentConfig, network_spec
         from mecpriv.env import EnvParams
-        spec = drqn_network_spec(EnvParams(), AgentConfig())
+        spec = network_spec(EnvParams(), AgentConfig(), recurrent=True)
         assert [type(l).__name__ for l in spec.layers] == \
             ["GRU"] * 3 + ["Dense"] * 3
         assert [l.units for l in spec.layers] == [128, 128, 128, 128, 128, 54]
@@ -198,15 +198,6 @@ class TestBackward:
 
 
 class TestOptim:
-    def test_sgd_zero_gradient_no_change(self):
-        p = [{"w": np.array([1.0, 2.0])}]
-        out = SGD(0.1).step(p, [{"w": np.zeros(2)}])
-        assert np.array_equal(out[0]["w"], p[0]["w"])
-
-    def test_sgd_scalar_update(self):
-        out = SGD(0.1).step([{"w": np.array([1.0])}], [{"w": np.array([2.0])}])
-        assert out[0]["w"][0] == pytest.approx(0.8)
-
     def test_adam_first_step_magnitude(self):
         # bias-corrected first step moves by about lr regardless of scale
         for c in (0.1, 3.0, 250.0):
@@ -215,10 +206,9 @@ class TestOptim:
             assert out[0]["w"][0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
     def test_nonfinite_gradient_rejected(self):
-        for opt in (SGD(0.1), Adam(0.1)):
-            with pytest.raises(ValueError):
-                opt.step([{"w": np.array([1.0])}],
-                         [{"w": np.array([np.nan])}])
+        with pytest.raises(ValueError):
+            Adam(0.1).step([{"w": np.array([1.0])}],
+                           [{"w": np.array([np.nan])}])
 
     def test_polyak_endpoints(self):
         tgt = [{"w": np.array([0.0])}]
