@@ -7,12 +7,16 @@ must print the same lines on both:
     PYTHONPATH=/path/to/other/src python3 scripts/golden.py > before.txt
 
 The commands run in-process through mecpriv.cli.main, in a temporary
-directory, at desk scale with one BLAS thread. They cover the baselines
+directory, with one BLAS thread. At desk scale they cover the baselines
 (evaluate, attack, sweep-theta), short trainings of both learners with an
 evaluate and an attack of each checkpoint, a short lambda sweep in two
 worker processes, and three full 300-episode desk trainings (the only runs
-long enough to wrap the DQN's replay ring). The whole set took about four
-minutes on one core of a 2-vCPU machine.
+long enough to wrap the DQN's replay ring). Two short trainings of both
+learners at paper scale (two 160-slot episodes, one update every 40
+slots, one evaluation episode) cover the paper preset's soft target
+update, which keeps 1 - 1e-4 of the target net instead of the desk
+preset's 0.99. The whole set took about four minutes on one core of a
+2-vCPU machine.
 """
 import os
 
@@ -31,7 +35,7 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 from mecpriv.cli import main  # noqa: E402
 
 
-def commands(ini3: str, ini6: str):
+def commands(ini3: str, ini6: str, ini_paper: str):
     """(name, argv) pairs; {out} is the run's own output directory."""
     desk = ["--scale", "desk"]
     yield "evaluate-greedy", ["evaluate", "--agent", "greedy", *desk, "--seed", "7"]
@@ -53,6 +57,10 @@ def commands(ini3: str, ini6: str):
                 "--lambda", "10", "--seed", "303",
                 "--checkpoint", f"{{root}}/{name}/checkpoint.qnet",
                 *(["--steps", "20000"] if command == "attack" else [])]
+    for agent in ("dqn", "drqn"):
+        yield f"train-{agent}-paper", [
+            "train", "--agent", agent, "--scale", "paper", "--config", ini_paper,
+            "--lambda", "10", "--seed", "303"]
     for agent, lam, seed in (("dqn", "10", "202"), ("dqn", "0", "101"),
                              ("drqn", "10", "303")):
         yield f"train-{agent}-lambda{lam}-seed{seed}", [
@@ -63,9 +71,13 @@ def run() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         ini3, ini6 = root / "episodes3.ini", root / "episodes6.ini"
+        ini_paper = root / "paper_short.ini"
         ini3.write_text("[agent]\nepisodes = 3\n")
         ini6.write_text("[agent]\nepisodes = 6\n")
-        for name, argv in commands(str(ini3), str(ini6)):
+        ini_paper.write_text("[env]\nepisode_len = 160\n\n"
+                             "[agent]\nepisodes = 2\nupdate_every = 40\n\n"
+                             "[run]\neval_episodes = 1\n")
+        for name, argv in commands(str(ini3), str(ini6), str(ini_paper)):
             out = root / name
             argv = [a.replace("{root}", tmp) for a in argv]
             # The commands' own reports go to stderr; stdout has digests only.

@@ -33,7 +33,6 @@ class AgentConfig:
     dense_layers: int = 2
     dense_units: int = 128
     loss: str = "mse"
-    polyak_conventional: bool = False
     update_every: int = 1
     center_rewards: bool = False
     scale_rewards: bool = False

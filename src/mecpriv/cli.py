@@ -196,9 +196,11 @@ def cmd_sweep_theta(args) -> int:
 
 def cmd_sweep_lambda(args) -> int:
     cfg = resolve_config(args)
+    if cfg.policy not in ("dqn", "drqn"):
+        raise ConfigError("sweep-lambda requires --agent dqn or drqn")
     out = _out_dir(cfg)
     grid = (args.lam,) if args.lam is not None else cfg.lambda_grid
-    results = sweep_lambda(grid, cfg.env, cfg.agent, cfg.seeds[0],
+    results = sweep_lambda(cfg.policy, grid, cfg.env, cfg.agent, cfg.seeds[0],
                            cfg.eval_episodes, cfg.seeds, jobs=args.jobs)
     records = [rec for rec, _ in results]
     write_metrics_csv(out / "sweep_lambda.csv", records,

@@ -14,8 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-WORKLOAD_UNITS = ("cycles_per_bit", "cycles_per_kb")
-
 
 @dataclass(frozen=True)
 class EnvParams:
@@ -32,7 +30,6 @@ class EnvParams:
     tx_rate_kbps: float = 5000.0
     cpu_freq_hz: float = 2.0e9
     workload_density: float = 500.0
-    workload_unit: str = "cycles_per_bit"
     e_local: float = 1.0
     e_tx_good: float = 0.5
     e_tx_bad: float = 2.0
@@ -55,8 +52,6 @@ class EnvParams:
             raise ValueError("p_channel_stay must be in [0, 1]")
         if self.delay_weight < 0 or self.privacy_weight < 0:
             raise ValueError("delay_weight and privacy_weight must be >= 0")
-        if self.workload_unit not in WORKLOAD_UNITS:
-            raise ValueError(f"workload_unit must be one of {WORKLOAD_UNITS}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.episode_len < 1:
@@ -76,9 +71,7 @@ class EnvParams:
 
     def local_time_per_task(self) -> float:
         bits = self.task_size_kb * 1000.0
-        if self.workload_unit == "cycles_per_bit":
-            return bits * self.workload_density / self.cpu_freq_hz
-        return self.task_size_kb * self.workload_density / self.cpu_freq_hz
+        return bits * self.workload_density / self.cpu_freq_hz
 
     def tx_time_per_task(self) -> float:
         return self.task_size_kb / self.tx_rate_kbps

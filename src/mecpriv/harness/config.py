@@ -1,5 +1,9 @@
 """Run configuration: dataclass assembly, INI-style file loading, presets.
 
+The presets live here only. The paper preset is the dataclass defaults
+plus its lambda grid and output directory; the desk preset is desk_env
+and desk_agent.
+
 Config files have three sections, each optional, with keys matching the
 dataclass field names:
 
@@ -7,8 +11,9 @@ dataclass field names:
     [agent]  AgentConfig fields (episodes, gamma, alpha, ...)
     [run]    policy, lambda_grid, theta_grid, seeds, eval_episodes, out_dir
 
-Grid and seed values are comma separated. Unknown sections or keys are
-rejected so typos fail loudly.
+Each value takes the type of its field's default; grid and seed values
+are comma separated. A ';' starts a comment, also after a value. Unknown
+sections or keys are rejected so typos fail loudly.
 """
 from __future__ import annotations
 
@@ -51,6 +56,8 @@ class RunConfig:
             raise ConfigError("seeds must be >= 0")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
+        if self.policy == "drqn" and self.agent.gru_layers < 1:
+            raise ConfigError("a drqn policy needs gru_layers >= 1")
         if any(th < 0 or th > 1 for th in self.theta_grid):
             raise ConfigError("theta values must be in [0, 1]")
         if any(lam < 0 for lam in self.lambda_grid):
@@ -64,10 +71,6 @@ class RunConfig:
                                   f"collide in sweep seeds or file names")
 
 
-def paper_env(**overrides) -> EnvParams:
-    return EnvParams(**overrides)
-
-
 def desk_env(**overrides) -> EnvParams:
     """Shrunk environment: short episodes, small entropy window."""
     base = dict(window=32, episode_len=400)
@@ -75,18 +78,14 @@ def desk_env(**overrides) -> EnvParams:
     return EnvParams(**base)
 
 
-def paper_agent(**overrides) -> AgentConfig:
-    return AgentConfig(**overrides)
-
-
 def desk_agent(kind: str = "drqn", **overrides) -> AgentConfig:
     """Minutes-scale training preset: 1xGRU(32)+Dense(32) nets, 300 episodes.
 
     The optimizer knobs are retuned for the small budget: faster
-    exploration decay, a short replay, a slow conventional-direction
-    target and reward centering; the sampled window is longer than the
-    entropy window so the recurrent state sees a full window before the
-    loss segment.
+    exploration decay, a short replay, a target net that keeps 0.99 of
+    itself at each soft update, and reward centering; the sampled window
+    is longer than the entropy window so the recurrent state sees a full
+    window before the loss segment.
 
     The recurrent learner (kind "drqn") trains on the Huber TD loss with
     rewards divided by their running standard deviation, and decays its
@@ -115,8 +114,7 @@ def desk_agent(kind: str = "drqn", **overrides) -> AgentConfig:
         dense_layers=1,
         dense_units=32,
         update_every=8,
-        polyak_conventional=True,
-        tau=0.01,
+        tau=0.99,
         center_rewards=True,
     )
     if kind == "drqn":
@@ -126,9 +124,9 @@ def desk_agent(kind: str = "drqn", **overrides) -> AgentConfig:
 
 
 def scaled_config(scale: str, policy: str = "drqn") -> RunConfig:
-    """The preset of a scale; configs/<scale>.ini holds the same values."""
+    """The preset of a scale, for the given policy."""
     if scale == "paper":
-        return RunConfig(env=paper_env(), agent=paper_agent(), policy=policy,
+        return RunConfig(env=EnvParams(), agent=AgentConfig(), policy=policy,
                          lambda_grid=(2.0, 5.0, 8.0, 10.0, 16.0, 20.0),
                          out_dir="runs/paper")
     if scale == "desk":
@@ -137,65 +135,39 @@ def scaled_config(scale: str, policy: str = "drqn") -> RunConfig:
     raise ConfigError(f"unknown scale {scale!r}")
 
 
-_RUN_FIELD_TYPES = {
-    "policy": str,
-    "lambda_grid": tuple,
-    "theta_grid": tuple,
-    "seeds": tuple,
-    "eval_episodes": int,
-    "out_dir": str,
-}
-
-
-def _coerce(raw: str, ftype, key: str):
+def _coerce(raw: str, like, key: str):
+    """Parse raw as a value of like's type; a tuple is comma separated, each
+    element of the type of like's elements."""
     raw = raw.strip()
+    if isinstance(like, tuple):
+        items = [v for v in raw.split(",") if v.strip()]
+        if not items:
+            raise ConfigError(f"{key} must be non-empty")
+        return tuple(_coerce(v, like[0], key) for v in items)
     try:
-        if ftype is bool:
+        if isinstance(like, bool):
             if raw.lower() in ("true", "yes", "1"):
                 return True
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        if ftype is int:
-            return int(raw)
-        if ftype is float:
-            return float(raw)
-        return raw
+        return type(like)(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {raw!r}") from exc
 
 
-def _parse_section(parser, section: str, template) -> dict:
+def _parse_section(parser, section: str, cls) -> dict:
+    """The section's keys, parsed by cls's field defaults. Fields without
+    a default (RunConfig's env and agent) are sections of their own."""
     if not parser.has_section(section):
         return {}
-    fields = {f.name: f.type for f in dataclasses.fields(template)}
-    # from __future__ annotations turns types into strings
-    concrete = {f.name: type(getattr(template, f.name))
-                for f in dataclasses.fields(template)}
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
     out = {}
     for key, raw in parser.items(section):
-        if key not in fields:
+        if key not in defaults:
             raise ConfigError(f"unknown key [{section}] {key}")
-        out[key] = _coerce(raw, concrete[key], key)
-    return out
-
-
-def _parse_run_section(parser) -> dict:
-    if not parser.has_section("run"):
-        return {}
-    out = {}
-    for key, raw in parser.items("run"):
-        if key not in _RUN_FIELD_TYPES:
-            raise ConfigError(f"unknown key [run] {key}")
-        ftype = _RUN_FIELD_TYPES[key]
-        if ftype is tuple:
-            items = [v.strip() for v in raw.split(",") if v.strip()]
-            if not items:
-                raise ConfigError(f"[run] {key} must be non-empty")
-            elem = int if key == "seeds" else float
-            out[key] = tuple(_coerce(v, elem, key) for v in items)
-        else:
-            out[key] = _coerce(raw, ftype, key)
+        out[key] = _coerce(raw, defaults[key], key)
     return out
 
 
@@ -209,7 +181,8 @@ def load_config(path: str | Path, scale: str | None = None,
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";",))
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -219,16 +192,16 @@ def load_config(path: str | Path, scale: str | None = None,
     if extra:
         raise ConfigError(f"unknown config sections: {sorted(extra)}")
 
-    run_kwargs = _parse_run_section(parser)
+    run_kwargs = _parse_section(parser, "run", RunConfig)
     if policy is not None:
         run_kwargs["policy"] = policy
     base = scaled_config(scale or "paper",
                          policy=run_kwargs.get("policy", "drqn"))
     try:
         env = dataclasses.replace(
-            base.env, **_parse_section(parser, "env", base.env))
+            base.env, **_parse_section(parser, "env", EnvParams))
         agent = dataclasses.replace(
-            base.agent, **_parse_section(parser, "agent", base.agent))
+            base.agent, **_parse_section(parser, "agent", AgentConfig))
         return dataclasses.replace(base, env=env, agent=agent, **run_kwargs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -238,15 +211,5 @@ def load_config(path: str | Path, scale: str | None = None,
 
 def config_as_dict(cfg: RunConfig) -> dict:
     """Plain-dict view of a RunConfig for manifests."""
-    return {
-        "env": dataclasses.asdict(cfg.env),
-        "agent": dataclasses.asdict(cfg.agent),
-        "run": {
-            "policy": cfg.policy,
-            "lambda_grid": list(cfg.lambda_grid),
-            "theta_grid": list(cfg.theta_grid),
-            "seeds": list(cfg.seeds),
-            "eval_episodes": cfg.eval_episodes,
-            "out_dir": cfg.out_dir,
-        },
-    }
+    run = dataclasses.asdict(cfg)
+    return {"env": run.pop("env"), "agent": run.pop("agent"), "run": run}

@@ -203,8 +203,6 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
     replay = (EpisodeBuffer if recurrent else TransitionBuffer)(
         cfg.buffer_capacity)
     baseline = RewardBaseline(cfg.center_rewards, cfg.scale_rewards)
-    # The conventional direction keeps 1 - tau of the old target.
-    keep = 1.0 - cfg.tau if cfg.polyak_conventional else cfg.tau
     curve: list[tuple[int, float, float]] = []
     grad_steps = 0
     for ep in range(cfg.episodes):
@@ -223,7 +221,7 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
                     baseline.value, baseline.scale)
                 grad_steps += 1
                 if grad_steps % cfg.target_update_period == 0:
-                    target = polyak_update(target, actor.params, keep)
+                    target = polyak_update(target, actor.params, cfg.tau)
         replay.end_episode()
         curve.append((ep, total, actor.eps))
     return TrainResult(label=label or kind, spec=spec, params=actor.params,

@@ -27,24 +27,25 @@ def sweep_theta(thetas, env: EnvParams, episodes: int, seeds,
 
 
 def _lambda_cell(args):
-    lam, env, agent_cfg, train_seed, episodes, seeds = args
+    kind, lam, env, agent_cfg, train_seed, episodes, seeds = args
     cell_env = dataclasses.replace(env, privacy_weight=float(lam))
-    result = train("drqn", cell_env, agent_cfg,
+    result = train(kind, cell_env, agent_cfg,
                    np.random.default_rng([train_seed, int(lam * 1000)]),
-                   label=f"drqn lambda={lam:g}")
+                   label=f"{kind} lambda={lam:g}")
     policy = QPolicy(result.spec, result.params, cell_env)
     record = evaluate(policy, cell_env, episodes, seeds, label=result.label)
     return record, result
 
 
-def sweep_lambda(lambdas, env: EnvParams, agent_cfg, train_seed: int,
-                 episodes: int, seeds, jobs: int = 1):
-    """Train one recurrent agent per privacy weight and evaluate each.
+def sweep_lambda(kind: str, lambdas, env: EnvParams, agent_cfg,
+                 train_seed: int, episodes: int, seeds, jobs: int = 1):
+    """Train one learner of kind "dqn" or "drqn" per privacy weight and
+    evaluate each.
 
     Returns a list of (RunRecord, TrainResult) in grid order.
     """
-    cells = [(float(lam), env, agent_cfg, train_seed, episodes, tuple(seeds))
-             for lam in lambdas]
+    cells = [(kind, float(lam), env, agent_cfg, train_seed, episodes,
+              tuple(seeds)) for lam in lambdas]
     return _run_cells(_lambda_cell, cells, jobs)
 
 

@@ -7,6 +7,7 @@ the training fixtures (the *_run fixtures) is marked slow, so
 `pytest -m "not slow"` skips the training.
 """
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ TRAIN_SEEDS = {"dqn0": 101, "dqn10": 202, "drqn10": 303, "drqn2": 404,
                "drqn20": 505}
 EVAL_SEEDS = (1, 2, 3)
 EVAL_EPISODES = 20
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _train(kind: str, lam: float, seed: int):
@@ -24,6 +26,15 @@ def _train(kind: str, lam: float, seed: int):
     cfg = desk_agent(kind)
     return env, cfg, train(kind, env, cfg, np.random.default_rng(seed),
                            label=f"{kind} lambda={lam:g}")
+
+
+@pytest.fixture
+def readme_ini(tmp_path):
+    """The README's config file reference, written to a file."""
+    block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    return path
 
 
 def pytest_collection_modifyitems(config, items):

@@ -1,13 +1,11 @@
 import csv
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mecpriv.cli import main
-from mecpriv.nn import Dense, GRU, NetworkSpec, init_params, save_checkpoint
-
-REPO = Path(__file__).resolve().parent.parent
+from mecpriv.nn import (Dense, GRU, NetworkSpec, init_params,
+                        load_checkpoint, save_checkpoint)
 
 TINY_TRAIN_INI = """
 [env]
@@ -90,6 +88,20 @@ class TestExitCodes:
     def test_undeclared_flag_is_usage_error(self, argv, tmp_path):
         assert main(argv + ["--scale", "desk", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command",
+                             ["train", "sweep-lambda", "validate-config"])
+    def test_drqn_without_gru_layer_is_config_error(self, tmp_path, capsys,
+                                                    command):
+        # such a net trains, but no drqn command could load its checkpoint
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(TINY_TRAIN_INI.replace("gru_layers = 1",
+                                              "gru_layers = 0"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(ini), "--scale", "desk",
+                     "--out", str(out)]) == 3
+        assert "gru_layers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _net(input_dim, hidden, output_dim=54):
     return NetworkSpec(input_dim=input_dim,
@@ -129,20 +141,14 @@ class TestCheckpointMismatch:
 
 
 class TestValidateConfig:
-    def test_shipped_paper_config(self, capsys):
-        assert main(["validate-config", "--config",
-                     str(REPO / "configs" / "paper.ini")]) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_shipped_desk_config(self):
-        assert main(["validate-config", "--config",
-                     str(REPO / "configs" / "desk.ini"),
-                     "--scale", "desk"]) == 0
+    def test_readme_config(self, capsys, readme_ini):
+        assert main(["validate-config", "--config", str(readme_ini)]) == 0
+        assert "OK (policy drqn, 1000 episodes x 1200 steps)" in \
+            capsys.readouterr().out
 
     @pytest.mark.parametrize("agent", ["dqn", "greedy"])
     def test_reports_the_resolved_policy(self, capsys, agent):
-        assert main(["validate-config", "--config",
-                     str(REPO / "configs" / "desk.ini"), "--scale", "desk",
+        assert main(["validate-config", "--scale", "desk",
                      "--agent", agent]) == 0
         assert f"(policy {agent}, 300 episodes" in capsys.readouterr().out
 
@@ -198,6 +204,32 @@ class TestEvaluate:
         for col in ("avg_cost_per_task", "h_dt", "h_gt",
                     "avg_reward_per_step"):
             assert sweep_row[col] == greedy_row[col]
+
+
+class TestSweepLambda:
+    @pytest.mark.parametrize("agent", ["dqn", "drqn"])
+    def test_trains_the_chosen_learner(self, tmp_path, agent):
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(TINY_TRAIN_INI)
+        out = tmp_path / "out"
+        assert main(["sweep-lambda", "--agent", agent, "--config", str(ini),
+                     "--scale", "desk", "--lambda", "10",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep_lambda.csv")
+        assert rows[0]["label"] == f"{agent} lambda=10"
+        spec, _ = load_checkpoint(out / "checkpoint_lambda10.qnet")
+        assert bool(spec.gru_units) == (agent == "drqn")
+
+    @pytest.mark.parametrize("agent", ["greedy", "theta", "uniform"])
+    def test_baseline_agent_is_config_error(self, tmp_path, capsys, agent):
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(TINY_TRAIN_INI)
+        out = tmp_path / "out"
+        assert main(["sweep-lambda", "--agent", agent, "--config", str(ini),
+                     "--scale", "desk", "--lambda", "10",
+                     "--out", str(out)]) == 3
+        assert "--agent dqn or drqn" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainAndAttack:

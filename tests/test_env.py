@@ -222,8 +222,6 @@ class TestParams:
     def test_unit_decision(self):
         assert P.local_time_per_task() == pytest.approx(0.125)
         assert P.tx_time_per_task() == pytest.approx(0.1)
-        alt = dataclasses.replace(P, workload_unit="cycles_per_kb")
-        assert alt.local_time_per_task() == pytest.approx(1.25e-4)
 
     def test_action_index_round_trip(self):
         assert P.n_actions == 54 and P.n_states == 48
@@ -235,7 +233,7 @@ class TestParams:
         dict(tx_rate_kbps=0.0),
         dict(episode_len=0),
         dict(window=0),
-        dict(workload_unit="cycles_per_byte"),
+        dict(workload_density=0.0),
         dict(d_max=-1),
         dict(privacy_weight=-1.0),
     ])

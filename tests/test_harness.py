@@ -1,5 +1,6 @@
+import configparser
 import dataclasses
-from pathlib import Path
+import json
 
 import numpy as np
 import pytest
@@ -9,13 +10,12 @@ from mecpriv.baselines import GreedyPolicy, ThetaPrivatePolicy, UniformPolicy
 from mecpriv.env import EnvParams
 from mecpriv.harness import (ConfigError, RunConfig, config_as_dict,
                              desk_agent, desk_env, episode_metrics,
-                             episode_rng, evaluate, load_config, paper_env,
+                             episode_rng, evaluate, load_config,
                              rollout_trace, run_episode, scaled_config,
                              sweep_lambda, sweep_theta, write_manifest,
                              write_metrics_csv)
 from mecpriv.nn import init_params
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DESK = desk_env()
 
 
@@ -131,7 +131,7 @@ class TestSweeps:
         cfg = desk_agent("drqn", episodes=2, batch_size=4, seq_len=8,
                          tbptt_len=4, gru_units=8, dense_units=8,
                          buffer_capacity=500)
-        results = sweep_lambda([0.0, 5.0], env, cfg, train_seed=1,
+        results = sweep_lambda("drqn", [0.0, 5.0], env, cfg, train_seed=1,
                                episodes=2, seeds=(1,))
         assert len(results) == 2
         records = [rec for rec, _ in results]
@@ -177,12 +177,48 @@ out_dir = runs/test
         assert cfg.agent.episodes == 7
         assert cfg.env.window == 32 and cfg.env.episode_len == 400
 
-    @pytest.mark.parametrize("scale", ["desk", "paper"])
-    @pytest.mark.parametrize("policy", [None, "dqn", "drqn"])
-    def test_shipped_config_is_builtin_preset(self, scale, policy):
-        shipped = load_config(CONFIGS / f"{scale}.ini", scale=scale,
-                              policy=policy)
-        assert shipped == scaled_config(scale, policy=policy or "drqn")
+    def test_readme_reference_is_paper_preset(self, readme_ini):
+        # The reference names every option at its paper-preset value, so
+        # adding or removing an option fails here until README follows.
+        assert load_config(readme_ini) == scaled_config("paper")
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read(readme_ini)
+        for section, cls in (("env", EnvParams), ("agent", AgentConfig),
+                             ("run", RunConfig)):
+            fields = {f.name for f in dataclasses.fields(cls)}
+            assert set(parser[section]) == fields - {"env", "agent"}
+
+    def test_inline_comments_are_stripped(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\npolicy = dqn  ; or drqn\n"
+                        "seeds = 4, 5  ; two seeds\n")
+        cfg = load_config(path)
+        assert cfg.policy == "dqn" and cfg.seeds == (4, 5)
+
+    @pytest.mark.parametrize("text", ["[env]\nworkload_unit = cycles_per_bit\n",
+                                      "[agent]\npolyak_conventional = true\n"],
+                             ids=["workload_unit", "polyak_conventional"])
+    def test_removed_keys_rejected(self, tmp_path, text):
+        path = tmp_path / "old.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", ["[run]\nseeds = 1.5\n",
+                                      "[run]\nseeds = ,\n",
+                                      "[run]\nenv = 3\n"],
+                             ids=["float-seed", "empty-seeds", "env-key"])
+    def test_bad_run_value_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_drqn_needs_a_gru_layer(self):
+        agent = AgentConfig(gru_layers=0)
+        RunConfig(env=EnvParams(), agent=agent, policy="dqn")
+        with pytest.raises(ConfigError, match="gru_layers"):
+            RunConfig(env=EnvParams(), agent=agent, policy="drqn")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -204,11 +240,11 @@ out_dir = runs/test
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig(env=paper_env(), agent=AgentConfig(), seeds=(1, 1))
+            RunConfig(env=EnvParams(), agent=AgentConfig(), seeds=(1, 1))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig(env=paper_env(), agent=AgentConfig(), seeds=(1, -1))
+            RunConfig(env=EnvParams(), agent=AgentConfig(), seeds=(1, -1))
 
     @pytest.mark.parametrize("grid", [(2.0, 2.0000001), (2.0, 2.0004),
                                       (2.0, 2.0000001, 2.0004)])
@@ -216,15 +252,15 @@ out_dir = runs/test
         # equal int(lambda * 1000) shares a training seed, equal
         # f"{lambda:g}" an output file name
         with pytest.raises(ConfigError):
-            RunConfig(env=paper_env(), agent=AgentConfig(), lambda_grid=grid)
+            RunConfig(env=EnvParams(), agent=AgentConfig(), lambda_grid=grid)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig(env=paper_env(), agent=AgentConfig(), lambda_grid=())
+            RunConfig(env=EnvParams(), agent=AgentConfig(), lambda_grid=())
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig(env=paper_env(), agent=AgentConfig(), policy="ppo")
+            RunConfig(env=EnvParams(), agent=AgentConfig(), policy="ppo")
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -243,3 +279,7 @@ class TestManifest:
         assert "artifact_version" in text
         assert "stand-in" in text  # heuristic metric is a labeled placeholder
         assert '"privacy_weight": 10.0' in text
+        assert json.loads(text)["config"]["run"] == {
+            "policy": "drqn", "lambda_grid": [2.0, 10.0, 20.0],
+            "theta_grid": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], "seeds": [1, 2, 3],
+            "eval_episodes": 20, "out_dir": "runs"}
