@@ -188,6 +188,15 @@ out_dir = runs/test
             fields = {f.name for f in dataclasses.fields(cls)}
             assert set(parser[section]) == fields - {"env", "agent"}
 
+    @pytest.mark.parametrize("scale", ["paper"])
+    @pytest.mark.parametrize("policy", [None, "dqn", "drqn"])
+    def test_shipped_config_is_builtin_preset(self, readme_ini, scale,
+                                              policy):
+        # The README reference is the one shipped paper config; with the
+        # policy overridden it must still resolve to that policy's preset.
+        shipped = load_config(readme_ini, scale=scale, policy=policy)
+        assert shipped == scaled_config(scale, policy=policy or "drqn")
+
     def test_inline_comments_are_stripped(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[run]\npolicy = dqn  ; or drqn\n"
