@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..env import EnvParams, valid_mask_matrix
+from ..env import EnvParams, mdp
 from ..nn import Dense, GRU, NetworkSpec, Params
 
 LOSSES = ("mse", "huber")
@@ -79,21 +79,24 @@ def obs_dim(p: EnvParams) -> int:
     return state_dim(p) + p.n_actions
 
 
-def encode(d, b, g, p: EnvParams, prev=None) -> np.ndarray:
-    """One-hot encoding of states, and of previous actions if prev is given.
+def encode(s, p: EnvParams, prev=None) -> np.ndarray:
+    """One-hot encoding of state ids, and of previous actions if prev is
+    given.
 
-    d, b and g are scalars or index arrays of one shape; the result has
-    that shape plus an axis of width state_dim (or obs_dim with prev). An
-    entry of -1 in prev means no previous action: its one-hot is all zeros.
+    s is a state id or an array of them; the result has its shape plus an
+    axis of width state_dim (or obs_dim with prev). An entry of -1 in prev
+    means no previous action: its one-hot is all zeros.
     """
-    d = np.asarray(d)
+    m = mdp(p)
+    s = np.asarray(s)
     width = state_dim(p) if prev is None else obs_dim(p)
-    x = np.zeros(d.shape + (width,))
+    x = np.zeros(s.shape + (width,))
     flat = x.reshape(-1, width)
     rows = np.arange(len(flat))
-    flat[rows, d.ravel()] = 1.0
-    flat[rows, p.d_max + 1 + np.ravel(b)] = 1.0
-    flat[rows, p.d_max + p.b_max + 2 + np.ravel(g)] = 1.0
+    s = s.ravel()
+    flat[rows, m.d[s]] = 1.0
+    flat[rows, p.d_max + 1 + m.b[s]] = 1.0
+    flat[rows, p.d_max + p.b_max + 2 + m.g[s]] = 1.0
     if prev is not None:
         prev = np.ravel(prev)
         on = prev >= 0
@@ -190,4 +193,4 @@ class RewardBaseline:
 def masked_max(q: np.ndarray, ids, p: EnvParams) -> np.ndarray:
     """Max of q over the valid actions of each state; ids are state_ids
     of q's leading axes."""
-    return np.where(valid_mask_matrix(p)[ids], q, -np.inf).max(axis=-1)
+    return np.where(mdp(p).valid[ids], q, -np.inf).max(axis=-1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..env import Action, EnvParams, State, action_mask
+from ..env import EnvParams, mdp
 from ..nn import backward, forward, forward_step, init_hidden
 from .common import (AgentConfig, encode, epsilon_greedy, loss_gradient,
                      masked_max, obs_dim)
@@ -30,6 +30,7 @@ class QPolicy:
         self.env = env
         self.eps = 0.0
         self._reads_prev = spec.input_dim == obs_dim(env)
+        self._valid = mdp(env).valid
         self.reset(None)
 
     def reset(self, rng: np.random.Generator | None) -> None:
@@ -37,13 +38,12 @@ class QPolicy:
         self._h = init_hidden(self.spec, 1)
         self._prev = -1
 
-    def act(self, s: State) -> Action:
+    def act(self, s: int) -> int:
         prev = self._prev if self._reads_prev else None
-        x = encode(s.d, s.b, s.g, self.env, prev)[None, :]
+        x = encode(s, self.env, prev)[None, :]
         q, self._h = forward_step(self.spec, self.params, x, self._h)
-        self._prev = epsilon_greedy(q[0], action_mask(s, self.env), self.eps,
-                                    self._rng)
-        return self.env.action_from_index(self._prev)
+        self._prev = epsilon_greedy(q[0], self._valid[s], self.eps, self._rng)
+        return self._prev
 
 
 def q_update(spec, params, target_params, opt, batch, env: EnvParams,

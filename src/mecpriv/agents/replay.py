@@ -13,18 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..env import EnvParams, State, state_id
+from ..env import EnvParams
 from .common import encode
 
 
-def _batch(d, b, g, acts, rews, env: EnvParams, prev=None):
-    """Encode (T + 1, B) state columns, and prev actions if given.
+def _batch(s, acts, rews, env: EnvParams, prev=None):
+    """Encode (T + 1, B) state ids, and prev actions if given.
 
     The target net reads the next state, which is the online net's input
     one slot later, so both are views of one (T + 1)-slot encoding.
     """
-    x = encode(d, b, g, env, prev)
-    return x[:-1], x[1:], acts, rews, state_id(d[1:], b[1:], g[1:], env)
+    x = encode(s, env, prev)
+    return x[:-1], x[1:], acts, rews, s[1:]
 
 
 class TransitionBuffer:
@@ -34,8 +34,8 @@ class TransitionBuffer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        # (d, b, g) of the state, then of the next state, per ring position
-        self._states = np.empty((2, 3, capacity), dtype=np.int64)
+        # the state id, then the next state's, per ring position
+        self._states = np.empty((2, capacity), dtype=np.int64)
         self._actions = np.empty(capacity, dtype=np.int64)
         self._rewards = np.empty(capacity)
         self._count = 0
@@ -43,11 +43,10 @@ class TransitionBuffer:
     def __len__(self) -> int:
         return min(self._count, self.capacity)
 
-    def record(self, s: State, a: int, r: float, s_next: State) -> None:
+    def record(self, s: int, a: int, r: float, s_next: int) -> None:
         """Store one slot, overwriting the oldest once full."""
         i = self._count % self.capacity
-        self._states[:, :, i] = ((s.d, s.b, s.g), (s_next.d, s_next.b,
-                                                   s_next.g))
+        self._states[:, i] = (s, s_next)
         self._actions[i] = a
         self._rewards[i] = r
         self._count += 1
@@ -62,26 +61,22 @@ class TransitionBuffer:
         if n < cfg.batch_size:
             return None
         idx = rng.integers(0, n, size=cfg.batch_size)
-        d, b, g = self._states[:, :, idx].transpose(1, 0, 2)
-        return _batch(d, b, g, self._actions[idx][None],
+        return _batch(self._states[:, idx], self._actions[idx][None],
                       self._rewards[idx][None], env)
 
 
 @dataclass
 class EpisodeTrace:
-    """One episode as parallel arrays; state arrays have one trailing entry
-    (the state after the final action)."""
+    """One episode as parallel arrays of ids and rewards; states has one
+    trailing entry (the state after the final action)."""
 
-    d: np.ndarray
-    b: np.ndarray
-    g: np.ndarray
+    states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
 
     def __post_init__(self):
         n = len(self.actions)
-        if not (len(self.d) == len(self.b) == len(self.g) == n + 1
-                and len(self.rewards) == n):
+        if not (len(self.states) == n + 1 and len(self.rewards) == n):
             raise ValueError("trace arrays are inconsistent")
 
     def __len__(self) -> int:
@@ -98,7 +93,7 @@ class EpisodeBuffer:
         self._episodes: deque[EpisodeTrace] = deque()
         self._steps = 0
         self._open: list[tuple] = []
-        self._last: State | None = None
+        self._last: int | None = None
 
     def __len__(self) -> int:
         return len(self._episodes)
@@ -126,17 +121,15 @@ class EpisodeBuffer:
             out.append((ep, start))
         return out
 
-    def record(self, s: State, a: int, r: float, s_next: State) -> None:
+    def record(self, s: int, a: int, r: float, s_next: int) -> None:
         """Add one slot to the open episode, stored whole at end_episode."""
-        self._open.append((s.d, s.b, s.g, a, r))
+        self._open.append((s, a, r))
         self._last = s_next
 
     def end_episode(self) -> None:
-        d, b, g, actions, rewards = zip(*self._open)
-        s = self._last
-        self.push(EpisodeTrace(np.array(d + (s.d,), dtype=np.int64),
-                               np.array(b + (s.b,), dtype=np.int64),
-                               np.array(g + (s.g,), dtype=np.int64),
+        states, actions, rewards = zip(*self._open)
+        self.push(EpisodeTrace(np.array(states + (self._last,),
+                                        dtype=np.int64),
                                np.array(actions, dtype=np.int64),
                                np.array(rewards, dtype=np.float64)))
         self._open = []
@@ -155,5 +148,5 @@ class EpisodeBuffer:
         prev = np.vstack([
             [(ep.actions[w - 1] if w > 0 else -1) for ep, w in windows],
             acts])
-        return _batch(cut("d", T + 1), cut("b", T + 1), cut("g", T + 1),
-                      acts, cut("rewards", T), env, prev)
+        return _batch(cut("states", T + 1), acts, cut("rewards", T), env,
+                      prev)

@@ -76,82 +76,36 @@ class EnvParams:
     def tx_time_per_task(self) -> float:
         return self.task_size_kb / self.tx_rate_kbps
 
-    def tx_energy_per_task(self, g: int) -> float:
-        return self.e_tx_good if g == 1 else self.e_tx_bad
 
-    def action_index(self, a: "Action") -> int:
-        return a.q * (self.t_max + 1) + a.t
+@dataclass(frozen=True, eq=False)
+class MDP:
+    """The MDP of one EnvParams as tables over state and action ids.
 
-    def action_from_index(self, idx: int) -> "Action":
-        span = self.t_max + 1
-        return Action(q=idx // span, t=idx % span)
+    The state (d, b, g) has id state_id(d, b, g), action (q, t) has id
+    q * (t_max + 1) + t, so action ids run in (q, t) order. The (n_states,
+    n_actions) tables are nan where valid is False. greedy is each state's
+    first cost-minimising action. heuristic is a stand-in for an external
+    privacy metric: one per task offloaded in a bad channel or processed
+    locally in a good one.
+    """
 
-    def all_states(self) -> list["State"]:
-        return [State(d, b, g)
-                for d in range(self.d_max + 1)
-                for b in range(self.b_max + 1)
-                for g in (0, 1)]
-
-
-@dataclass(frozen=True)
-class State:
-    """Per-slot observation: new tasks d, buffered tasks b, channel g."""
-
-    d: int
-    b: int
-    g: int
-
-
-@dataclass(frozen=True)
-class Action:
-    """Per-slot decision: q tasks buffered, t tasks offloaded."""
-
-    q: int
-    t: int
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    next_state: State
-    latency: float
-    energy: float
-    cost: float
+    d: np.ndarray
+    b: np.ndarray
+    g: np.ndarray
+    q: np.ndarray
+    t: np.ndarray
+    valid: np.ndarray
+    l: np.ndarray
+    latency: np.ndarray
+    energy: np.ndarray
+    cost: np.ndarray
+    heuristic: np.ndarray
+    greedy: np.ndarray
+    valid_ids: tuple[np.ndarray, ...]
 
 
 class InvalidActionError(ValueError):
     pass
-
-
-def is_valid(s: State, a: Action, p: EnvParams) -> bool:
-    return (0 <= a.q <= p.b_max and a.t >= 0
-            and a.q + a.t <= s.d + s.b)
-
-
-def require_valid(s: State, a: Action, p: EnvParams) -> None:
-    if not is_valid(s, a, p):
-        raise InvalidActionError(f"action {a} invalid in state {s}")
-
-
-def local_count(s: State, a: Action) -> int:
-    return s.d + s.b - a.q - a.t
-
-
-def valid_actions(s: State, p: EnvParams) -> list[Action]:
-    """All feasible (q, t) pairs in lexicographic order; never empty."""
-    pending = s.d + s.b
-    return [Action(q, t)
-            for q in range(min(p.b_max, pending) + 1)
-            for t in range(pending - q + 1)]
-
-
-@lru_cache(maxsize=None)
-def action_mask(s: State, p: EnvParams) -> np.ndarray:
-    """Boolean validity mask over the flat (q, t) action grid."""
-    mask = np.zeros(p.n_actions, dtype=bool)
-    for a in valid_actions(s, p):
-        mask[p.action_index(a)] = True
-    mask.setflags(write=False)
-    return mask
 
 
 def state_id(d, b, g, p: EnvParams):
@@ -160,30 +114,30 @@ def state_id(d, b, g, p: EnvParams):
 
 
 @lru_cache(maxsize=None)
-def valid_mask_matrix(p: EnvParams) -> np.ndarray:
-    """(n_states, n_actions) validity table indexed by state_id."""
-    mat = np.zeros((p.n_states, p.n_actions), dtype=bool)
-    for s in p.all_states():
-        mat[state_id(s.d, s.b, s.g, p)] = action_mask(s, p)
-    mat.setflags(write=False)
-    return mat
-
-
-def latency(s: State, a: Action, p: EnvParams) -> float:
-    """Slot latency: queuing penalty plus max of radio and CPU time."""
-    require_valid(s, a, p)
-    l = local_count(s, a)
-    return (a.q * p.slot_duration
-            + max(a.t * p.tx_time_per_task(), l * p.local_time_per_task()))
-
-
-def energy(s: State, a: Action, p: EnvParams) -> float:
-    require_valid(s, a, p)
-    return p.tx_energy_per_task(s.g) * a.t + p.e_local * local_count(s, a)
-
-
-def cost(s: State, a: Action, p: EnvParams) -> float:
-    return p.delay_weight * latency(s, a, p) + energy(s, a, p)
+def mdp(p: EnvParams) -> MDP:
+    """The tables of p, built once per EnvParams."""
+    db, g = np.divmod(np.arange(p.n_states), 2)
+    d, b = np.divmod(db, p.b_max + 1)
+    q, t = np.divmod(np.arange(p.n_actions), p.t_max + 1)
+    l = d[:, None] + b[:, None] - q - t
+    valid = l >= 0
+    # Slot latency: queuing penalty plus max of radio and CPU time.
+    latency = q * p.slot_duration + np.maximum(t * p.tx_time_per_task(),
+                                               l * p.local_time_per_task())
+    e_tx = np.where(g == 1, p.e_tx_good, p.e_tx_bad)[:, None]
+    energy = e_tx * t + p.e_local * l
+    cost = p.delay_weight * latency + energy
+    heuristic = np.where(g[:, None] == 0, t, l)
+    tables = {name: np.where(valid, table, np.nan) for name, table in
+              (("l", l), ("latency", latency), ("energy", energy),
+               ("cost", cost), ("heuristic", heuristic))}
+    out = MDP(d=d, b=b, g=g, q=q, t=t, valid=valid, **tables,
+              greedy=np.argmin(np.where(valid, cost, np.inf), axis=1),
+              valid_ids=tuple(np.flatnonzero(row) for row in valid))
+    for arr in (d, b, g, q, t, valid, out.greedy, *tables.values(),
+                *out.valid_ids):
+        arr.setflags(write=False)
+    return out
 
 
 def reward(cost_value: float, privacy_bits: float, privacy_weight: float) -> float:
@@ -191,19 +145,19 @@ def reward(cost_value: float, privacy_bits: float, privacy_weight: float) -> flo
     return privacy_weight * privacy_bits - cost_value
 
 
-def step(s: State, a: Action, rng: np.random.Generator, p: EnvParams) -> StepOutcome:
-    """Advance one slot: b' = q, d' uniform, g' sticky two-state chain."""
-    require_valid(s, a, p)
-    lat = latency(s, a, p)
-    en = energy(s, a, p)
+def step(s: int, a: int, rng: np.random.Generator, p: EnvParams) -> int:
+    """Advance one slot from state id s by action id a; returns the next
+    state id. b' = q, d' uniform, g' sticky two-state chain."""
+    m = mdp(p)
+    if not (0 <= a < len(m.q) and m.valid[s, a]):
+        raise InvalidActionError(f"action {a} invalid in state {s}")
     d_next = int(rng.integers(0, p.d_max + 1))
-    g_next = s.g if rng.random() < p.p_channel_stay else 1 - s.g
-    nxt = State(d=d_next, b=a.q, g=g_next)
-    return StepOutcome(next_state=nxt, latency=lat, energy=en,
-                       cost=p.delay_weight * lat + en)
+    g = int(m.g[s])
+    g_next = g if rng.random() < p.p_channel_stay else 1 - g
+    return state_id(d_next, int(m.q[a]), g_next, p)
 
 
-def sample_initial_state(rng: np.random.Generator, p: EnvParams) -> State:
-    """Episode start: empty buffer, uniform d and channel."""
-    return State(d=int(rng.integers(0, p.d_max + 1)), b=0,
-                 g=int(rng.integers(0, 2)))
+def sample_initial_state(rng: np.random.Generator, p: EnvParams) -> int:
+    """Episode start: empty buffer, uniform d and channel; a state id."""
+    d = int(rng.integers(0, p.d_max + 1))
+    return state_id(d, 0, int(rng.integers(0, 2)), p)

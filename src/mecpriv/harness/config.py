@@ -58,6 +58,14 @@ class RunConfig:
             raise ConfigError("eval_episodes must be >= 1")
         if self.policy == "drqn" and self.agent.gru_layers < 1:
             raise ConfigError("a drqn policy needs gru_layers >= 1")
+        # A drqn samples windows of seq_len slots from whole episodes; a
+        # dqn trains nothing until its ring holds one batch.
+        if self.policy == "drqn" and self.agent.seq_len > self.env.episode_len:
+            raise ConfigError("a drqn policy needs seq_len <= episode_len")
+        if self.policy == "dqn" and \
+                self.agent.batch_size > self.agent.buffer_capacity:
+            raise ConfigError("a dqn policy needs batch_size <= "
+                              "buffer_capacity")
         if any(th < 0 or th > 1 for th in self.theta_grid):
             raise ConfigError("theta values must be in [0, 1]")
         if any(lam < 0 for lam in self.lambda_grid):

@@ -9,9 +9,9 @@ from ..agents import (AgentConfig, EpisodeBuffer, QPolicy, TrainResult,
                       TransitionBuffer, epsilon_at, network_spec, q_update)
 from ..agents.common import RewardBaseline, alpha_at
 from ..baselines import Policy
-from ..env import EnvParams, reward, sample_initial_state, step
+from ..env import EnvParams, mdp, reward, sample_initial_state, step
 from ..nn import Adam, clone_params, init_params, polyak_update
-from ..privacy import DEFAULT_HEURISTIC, WindowHistory, privacy_breakdown
+from ..privacy import WindowHistory, privacy_breakdown
 
 
 @dataclass
@@ -77,7 +77,8 @@ class RunRecord:
 
 
 def slots(policy: Policy, env: EnvParams, rng: np.random.Generator):
-    """Play one episode; yields (state, action, outcome) slot by slot.
+    """Play one episode; yields (state, action, next state) ids slot by
+    slot.
 
     Every rollout, evaluation and training episode runs through here, so
     all of them draw from rng in one order: the policy's reset, the
@@ -87,44 +88,42 @@ def slots(policy: Policy, env: EnvParams, rng: np.random.Generator):
     s = sample_initial_state(rng, env)
     for _ in range(env.episode_len):
         a = policy.act(s)
-        out = step(s, a, rng, env)
-        yield s, a, out
-        s = out.next_state
+        s_next = step(s, a, rng, env)
+        yield s, a, s_next
+        s = s_next
 
 
 def rewarded_slots(policy: Policy, env: EnvParams, rng: np.random.Generator):
-    """slots plus the privacy window; yields (state, action, outcome,
+    """slots plus the privacy window; yields (state, action, next state,
     privacy breakdown, reward)."""
+    m = mdp(env)
     window = WindowHistory(env.window, d_max=env.d_max, t_max=env.t_max)
-    for s, a, out in slots(policy, env, rng):
-        window.push((s.d, s.g, a.t))
+    for s, a, s_next in slots(policy, env, rng):
+        window.push((m.d[s], m.g[s], m.t[a]))
         br = privacy_breakdown(window)
-        yield s, a, out, br, reward(out.cost, br.p_total, env.privacy_weight)
+        yield s, a, s_next, br, reward(float(m.cost[s, a]), br.p_total,
+                                       env.privacy_weight)
 
 
-def run_episode(policy: Policy, env: EnvParams, rng: np.random.Generator,
-                heuristic=None) -> EpisodeLog:
+def run_episode(policy: Policy, env: EnvParams,
+                rng: np.random.Generator) -> EpisodeLog:
     """Roll one rewarded episode and log every slot."""
-    heuristic = heuristic or DEFAULT_HEURISTIC
+    m = mdp(env)
     n = env.episode_len
-    cols = {name: np.empty(n) for name in
-            ("latency", "energy", "cost", "h_dt", "h_gt", "p_total",
-             "heuristic", "reward")}
-    ints = {name: np.empty(n, dtype=np.int64) for name in
-            ("d", "b", "g", "q", "t", "l")}
-    for i, (s, a, out, br, r) in enumerate(rewarded_slots(policy, env, rng)):
-        ints["d"][i], ints["b"][i], ints["g"][i] = s.d, s.b, s.g
-        ints["q"][i], ints["t"][i] = a.q, a.t
-        ints["l"][i] = s.d + s.b - a.q - a.t
-        cols["latency"][i] = out.latency
-        cols["energy"][i] = out.energy
-        cols["cost"][i] = out.cost
+    s, a = (np.empty(n, dtype=np.int64) for _ in range(2))
+    cols = {name: np.empty(n) for name in ("h_dt", "h_gt", "p_total",
+                                           "reward")}
+    for i, (s[i], a[i], s_next, br, r) in enumerate(
+            rewarded_slots(policy, env, rng)):
         cols["h_dt"][i] = br.h_dt
         cols["h_gt"][i] = br.h_gt
         cols["p_total"][i] = br.p_total
-        cols["heuristic"][i] = heuristic.score(s, a)
         cols["reward"][i] = r
-    return EpisodeLog(**ints, **cols, buffer_final=out.next_state.b)
+    return EpisodeLog(d=m.d[s], b=m.b[s], g=m.g[s], q=m.q[a], t=m.t[a],
+                      l=m.l[s, a].astype(np.int64), latency=m.latency[s, a],
+                      energy=m.energy[s, a], cost=m.cost[s, a],
+                      heuristic=m.heuristic[s, a], **cols,
+                      buffer_final=int(m.b[s_next]))
 
 
 def episode_metrics(log: EpisodeLog) -> EpisodeMetrics:
@@ -151,12 +150,11 @@ def episode_rng(seed: int, episode: int) -> np.random.Generator:
 
 
 def evaluate(policy: Policy, env: EnvParams, episodes: int,
-             seeds: tuple[int, ...], label: str, heuristic=None) -> RunRecord:
+             seeds: tuple[int, ...], label: str) -> RunRecord:
     """Average episode metrics over fresh episodes for every seed."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    rows = [episode_metrics(run_episode(policy, env, episode_rng(seed, ep),
-                                        heuristic))
+    rows = [episode_metrics(run_episode(policy, env, episode_rng(seed, ep)))
             for seed in seeds for ep in range(episodes)]
     values = {name: np.array([getattr(r, name) for r in rows])
               for name in METRIC_FIELDS}
@@ -168,15 +166,15 @@ def evaluate(policy: Policy, env: EnvParams, episodes: int,
 def rollout_trace(policy: Policy, env: EnvParams, rng: np.random.Generator,
                   n_steps: int) -> np.ndarray:
     """Collect (d, g, t) rows over as many fresh episodes as needed."""
-    out = np.empty((n_steps, 3), dtype=np.int64)
+    s, a = (np.empty(n_steps, dtype=np.int64) for _ in range(2))
     i = 0
     while i < n_steps:
-        for s, a, _ in slots(policy, env, rng):
-            out[i] = (s.d, s.g, a.t)
+        for s[i], a[i], _ in slots(policy, env, rng):
             i += 1
             if i == n_steps:
                 break
-    return out
+    m = mdp(env)
+    return np.stack([m.d[s], m.g[s], m.t[a]], axis=1)
 
 
 def train(kind: str, env: EnvParams, cfg: AgentConfig,
@@ -209,9 +207,9 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
         actor.eps = epsilon_at(cfg, ep)
         opt.lr = alpha_at(cfg, ep)
         total = 0.0
-        for n, (s, a, out, _, r) in enumerate(
+        for n, (s, a, s_next, _, r) in enumerate(
                 rewarded_slots(actor, env, rng)):
-            replay.record(s, env.action_index(a), r, out.next_state)
+            replay.record(s, a, r, s_next)
             baseline.add(r)
             total += r
             if n % cfg.update_every == 0 and \

@@ -7,16 +7,15 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from ..agents import QPolicy
-from ..baselines import GreedyPolicy, ThetaPrivatePolicy
+from ..baselines import ThetaPrivatePolicy
 from ..env import EnvParams
 from .runner import RunRecord, evaluate, train
 
 
 def _theta_cell(args) -> RunRecord:
     theta, env, episodes, seeds = args
-    policy = (GreedyPolicy(env) if theta == 0.0
-              else ThetaPrivatePolicy(env, theta))
-    return evaluate(policy, env, episodes, seeds, label=f"theta={theta:g}")
+    return evaluate(ThetaPrivatePolicy(env, theta), env, episodes, seeds,
+                    label=f"theta={theta:g}")
 
 
 def sweep_theta(thetas, env: EnvParams, episodes: int, seeds,

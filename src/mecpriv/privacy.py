@@ -12,8 +12,6 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .env import Action, State
-
 Entry = tuple[int, int, int]  # (d, g, t)
 
 
@@ -121,23 +119,3 @@ def privacy_breakdown(w: WindowHistory) -> PrivacyBreakdown:
         h_gt=h_gt,
     )
 
-
-class GreedyDeviationHeuristic:
-    """Stand-in for the external heuristic privacy metric.
-
-    Scores deviation from the one-step cost-greedy pattern: +1 per task
-    offloaded in bad channel, +1 per task processed locally in good
-    channel. Shipped as a clearly labeled placeholder; the original
-    metric's formula is not part of this package.
-    """
-
-    name = "greedy_deviation_standin"
-
-    def score(self, s: State, a: Action) -> float:
-        l = s.d + s.b - a.q - a.t
-        if s.g == 0:
-            return float(a.t)
-        return float(l)
-
-
-DEFAULT_HEURISTIC = GreedyDeviationHeuristic()

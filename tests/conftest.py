@@ -21,6 +21,11 @@ EVAL_EPISODES = 20
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def action_id(q: int, t: int, p) -> int:
+    """Action id of (q, t): ids run in lexicographic (q, t) order."""
+    return q * (p.t_max + 1) + t
+
+
 def _train(kind: str, lam: float, seed: int):
     env = dataclasses.replace(desk_env(), privacy_weight=lam)
     cfg = desk_agent(kind)

@@ -10,9 +10,8 @@ import numpy as np
 
 from mecpriv.adversary import attack_evaluation, fit
 from mecpriv.agents import QPolicy
-from mecpriv.baselines import (GreedyPolicy, ThetaPrivatePolicy,
-                               UniformPolicy, greedy_cost_action)
-from mecpriv.env import Action, EnvParams
+from mecpriv.baselines import GreedyPolicy, ThetaPrivatePolicy, UniformPolicy
+from mecpriv.env import EnvParams, mdp
 from mecpriv.harness import (desk_env, episode_metrics, episode_rng, evaluate,
                              rollout_trace, run_episode, sweep_theta,
                              write_metrics_csv)
@@ -28,12 +27,11 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_greedy_characterization():
-    p = EnvParams()
+    m = mdp(EnvParams())
     failures = []
-    for s in p.all_states():
-        a = greedy_cost_action(s, p)
-        want = Action(0, s.d + s.b) if s.g == 1 else Action(0, 0)
-        if a != want:
+    for s, a in enumerate(m.greedy):
+        want = (0, m.d[s] + m.b[s] if m.g[s] == 1 else 0)
+        if (m.q[a], m.t[a]) != want:
             failures.append((s, a))
     _report("criterion 1 (greedy characterization)", not failures,
             f"48 states checked, {len(failures)} exceptions")

@@ -9,11 +9,12 @@ from mecpriv.agents import (AgentConfig, EpisodeBuffer, EpisodeTrace, QPolicy,
                             state_dim)
 from mecpriv.agents.common import RewardBaseline, alpha_at, loss_gradient
 from mecpriv.baselines import GreedyPolicy
-from mecpriv.env import (Action, EnvParams, State, action_mask, state_id,
-                         valid_actions, valid_mask_matrix)
+from mecpriv.env import EnvParams, mdp, state_id
 from mecpriv.harness import desk_agent, desk_env, evaluate, train
 from mecpriv.nn import Adam, backward, clone_params, forward, init_params
 from mecpriv.nn.network import zeros_like_params
+
+from conftest import action_id
 
 P = EnvParams()
 TINY_ENV = EnvParams(episode_len=40, window=8, privacy_weight=1.0)
@@ -26,24 +27,29 @@ TINY_DRQN = AgentConfig(episodes=3, batch_size=4, buffer_capacity=400,
 
 class TestEncoding:
     def test_state_encoding_three_ones(self):
-        x = encode(0, 0, 0, P)
+        x = encode(state_id(0, 0, 0, P), P)
         assert x.shape == (12,) and x.sum() == 3.0
         assert list(np.flatnonzero(x)) == [0, 4, 10]
 
     def test_observation_dimension(self):
         assert state_dim(P) == 12
         assert obs_dim(P) == 66
-        x = encode(0, 0, 0, P, prev=-1)
+        x = encode(state_id(0, 0, 0, P), P, prev=-1)
         assert x.shape == (66,) and x.sum() == 3.0
-        x = encode(1, 2, 1, P, prev=7)
+        x = encode(state_id(1, 2, 1, P), P, prev=7)
         assert x.sum() == 4.0 and x[12 + 7] == 1.0
 
     def test_injective_over_states(self):
-        seen = {tuple(encode(s.d, s.b, s.g, P)) for s in P.all_states()}
+        seen = {tuple(encode(s, P)) for s in range(P.n_states)}
         assert len(seen) == P.n_states
+        for d in range(P.d_max + 1):
+            for b in range(P.b_max + 1):
+                for g in (0, 1):
+                    x = encode(state_id(d, b, g, P), P)
+                    assert list(np.flatnonzero(x)) == [d, 4 + b, 10 + g]
 
     def test_injective_with_prev_actions(self):
-        seen = {tuple(encode(1, 1, 1, P, prev=a))
+        seen = {tuple(encode(state_id(1, 1, 1, P), P, prev=a))
                 for a in [-1, *range(P.n_actions)]}
         assert len(seen) == P.n_actions + 1
 
@@ -51,12 +57,12 @@ class TestEncoding:
         rng = np.random.default_rng(8)
         d, b, g = (rng.integers(0, n, size=(5, 3)) for n in (4, 6, 2))
         prev = rng.integers(-1, P.n_actions, size=(5, 3))
-        x = encode(d, b, g, P, prev)
+        s = state_id(d, b, g, P)
+        x = encode(s, P, prev)
         assert x.shape == (5, 3, 66)
         for i in range(5):
             for j in range(3):
-                assert np.array_equal(
-                    x[i, j], encode(d[i, j], b[i, j], g[i, j], P, prev[i, j]))
+                assert np.array_equal(x[i, j], encode(s[i, j], P, prev[i, j]))
 
 
 class TestEpsilonGreedy:
@@ -113,9 +119,9 @@ class TestEpsilonGreedy:
 
 def one_slot_batch(s, a, r, s_next):
     """A batch (x_on, x_tg, acts, rews, next_ids) of one one-slot sequence."""
-    x = encode([s.d, s_next.d], [s.b, s_next.b], [s.g, s_next.g], P)
+    x = encode([s, s_next], P)
     return (x[:1, None], x[1:, None], np.array([[a]]), np.array([[r]]),
-            np.array([[state_id(s_next.d, s_next.b, s_next.g, P)]]))
+            np.array([[s_next]]))
 
 
 def constant_q(spec, value):
@@ -128,20 +134,18 @@ def constant_q(spec, value):
 def reference_dqn_update(spec, params, target_params, opt, transitions, env,
                          cfg, baseline, scale):
     """The feed-forward update as it was written before the learners were
-    merged: per-transition state columns, targets from a separate encoding
-    of the next states."""
-    cols = lambda states: np.array([(s.d, s.b, s.g) for s in states],
-                                   dtype=np.int64).T
-    next_states = [tr[3] for tr in transitions]
+    merged: per-transition states, targets from a separate encoding of the
+    next states."""
+    next_states = np.array([tr[3] for tr in transitions])
     q_next = forward(spec, target_params,
-                     encode(*cols(next_states), env)[None, :, :],
+                     encode(next_states, env)[None, :, :],
                      collect_cache=False)[0][0]
-    best = np.where(valid_mask_matrix(env)[state_id(*cols(next_states), env)],
-                    q_next, -np.inf).max(axis=-1)
+    best = np.where(mdp(env).valid[next_states], q_next,
+                    -np.inf).max(axis=-1)
     y = (np.array([tr[2] for tr in transitions]) - baseline) / scale \
         + cfg.gamma * best
     actions = np.array([tr[1] for tr in transitions])
-    xs = encode(*cols([tr[0] for tr in transitions]), env)[None, :, :]
+    xs = encode(np.array([tr[0] for tr in transitions]), env)[None, :, :]
     out, _, cache = forward(spec, params, xs)
     rows = np.arange(len(transitions))
     err = out[0][rows, actions] - y
@@ -157,7 +161,8 @@ class TestTdTargets:
     SPEC = network_spec(P, AgentConfig(dense_layers=1, dense_units=8), False)
 
     def loss(self, r, gamma, q=1.0, best=2.0, baseline=0.0, scale=1.0):
-        batch = one_slot_batch(State(1, 0, 1), 0, r, State(2, 0, 1))
+        batch = one_slot_batch(state_id(1, 0, 1, P), 0, r,
+                               state_id(2, 0, 1, P))
         cfg = AgentConfig(gamma=gamma)
         _, loss = q_update(self.SPEC, constant_q(self.SPEC, q),
                            constant_q(self.SPEC, best), Adam(0.1), batch, P,
@@ -196,11 +201,10 @@ class TestTdTargets:
         rng = np.random.default_rng(5)
         spec = network_spec(P, TINY_DQN, False)
         params, target = (init_params(spec, rng) for _ in range(2))
-        states = P.all_states()
         buf = TransitionBuffer(64)
         for _ in range(64):
-            buf.record(states[rng.integers(48)], int(rng.integers(54)),
-                       float(rng.normal()), states[rng.integers(48)])
+            buf.record(int(rng.integers(48)), int(rng.integers(54)),
+                       float(rng.normal()), int(rng.integers(48)))
         cfg = dataclasses.replace(TINY_DQN, batch_size=64)
         batch = buf.sample_batch(cfg, P, np.random.default_rng(1))
         _, loss = q_update(spec, params, target, Adam(0.1), batch, P, cfg)
@@ -210,7 +214,7 @@ class TestTdTargets:
             q = forward(spec, params, x_on[:, i:i + 1], collect_cache=False)
             q_next = forward(spec, target, x_tg[:, i:i + 1],
                              collect_cache=False)
-            best = q_next[0][0, 0][valid_mask_matrix(P)[next_ids[0, i]]].max()
+            best = q_next[0][0, 0][mdp(P).valid[next_ids[0, i]]].max()
             errs.append(q[0][0, 0, acts[0, i]] - (rews[0, i] + 0.9 * best))
         # batched and single-row matmuls may differ in the last ulp
         assert loss == pytest.approx(np.mean(np.square(errs)), rel=1e-12)
@@ -219,10 +223,9 @@ class TestTdTargets:
         rng = np.random.default_rng(6)
         spec = network_spec(P, TINY_DQN, False)
         params = init_params(spec, rng)
-        states = P.all_states()
-        samples = [(states[rng.integers(48)], int(rng.integers(54)),
-                    states[rng.integers(48)]) for _ in range(16)]
-        xs = encode(*np.array([(s.d, s.b, s.g) for s, _, _ in samples]).T, P)
+        samples = [(int(rng.integers(48)), int(rng.integers(54)),
+                    int(rng.integers(48))) for _ in range(16)]
+        xs = encode(np.array([s for s, _, _ in samples]), P)
         q_now = forward(spec, params, xs[None], collect_cache=False)[0][0]
         # gamma = 0 makes the targets exactly the current taken-action
         # values; Adam moves no parameter on a zero gradient
@@ -242,10 +245,9 @@ class TestTdTargets:
         rng = np.random.default_rng(11)
         spec = network_spec(P, TINY_DQN, False)
         params, target = (init_params(spec, rng) for _ in range(2))
-        states = P.all_states()
-        transitions = [(states[rng.integers(48)], int(rng.integers(54)),
+        transitions = [(int(rng.integers(48)), int(rng.integers(54)),
                         float(rng.normal(30.0, 20.0)),
-                        states[rng.integers(48)]) for _ in range(50)]
+                        int(rng.integers(48))) for _ in range(50)]
         buf = TransitionBuffer(32)  # wraps: holds the last 32
         for tr in transitions:
             buf.record(*tr)
@@ -274,12 +276,12 @@ class TestTdTargets:
 
 
 class TestReplay:
-    S0 = State(0, 0, 0)
+    S0 = state_id(0, 0, 0, P)
 
     def test_ring_eviction_order(self):
         buf = TransitionBuffer(3)
         for a in range(5):
-            buf.record(State(a % 4, 0, 0), a, float(a), self.S0)
+            buf.record(state_id(a % 4, 0, 0, P), a, float(a), self.S0)
         assert len(buf) == 3
         # records 3 and 4 overwrote ring positions 0 and 1
         cfg = AgentConfig(batch_size=3)
@@ -293,8 +295,8 @@ class TestReplay:
     def test_sampling_reproducible(self):
         buf = TransitionBuffer(10)
         for i in range(10):
-            buf.record(State(i % 4, i % 6, i % 2), i, float(i),
-                       State(0, i % 6, 0))
+            buf.record(state_id(i % 4, i % 6, i % 2, P), i, float(i),
+                       state_id(0, i % 6, 0, P))
         cfg = AgentConfig(batch_size=6)
         a, b = (buf.sample_batch(cfg, P, np.random.default_rng(3))
                 for _ in range(2))
@@ -312,18 +314,16 @@ class TestReplay:
 
     def test_batches_encode_the_stored_slots(self):
         buf = TransitionBuffer(2)
-        buf.record(State(1, 2, 1), 7, 0.5, State(3, 4, 0))
+        buf.record(state_id(1, 2, 1, P), 7, 0.5, state_id(3, 4, 0, P))
         x_on, x_tg, acts, rews, next_ids = buf.sample_batch(
             AgentConfig(batch_size=1), P, np.random.default_rng(0))
-        assert np.array_equal(x_on[0, 0], encode(1, 2, 1, P))
-        assert np.array_equal(x_tg[0, 0], encode(3, 4, 0, P))
+        assert np.array_equal(x_on[0, 0], encode(state_id(1, 2, 1, P), P))
+        assert np.array_equal(x_tg[0, 0], encode(state_id(3, 4, 0, P), P))
         assert (acts.shape, acts[0, 0], rews[0, 0]) == ((1, 1), 7, 0.5)
         assert next_ids[0, 0] == state_id(3, 4, 0, P)
 
     def _trace(self, n, tag=0):
-        return EpisodeTrace(d=np.zeros(n + 1, dtype=np.int64),
-                            b=np.zeros(n + 1, dtype=np.int64),
-                            g=np.zeros(n + 1, dtype=np.int64),
+        return EpisodeTrace(states=np.zeros(n + 1, dtype=np.int64),
                             actions=np.full(n, tag, dtype=np.int64),
                             rewards=np.zeros(n))
 
@@ -349,9 +349,7 @@ class TestReplay:
 
     def test_inconsistent_trace_rejected(self):
         with pytest.raises(ValueError):
-            EpisodeTrace(d=np.zeros(3, dtype=np.int64),
-                         b=np.zeros(4, dtype=np.int64),
-                         g=np.zeros(4, dtype=np.int64),
+            EpisodeTrace(states=np.zeros(3, dtype=np.int64),
                          actions=np.zeros(3, dtype=np.int64),
                          rewards=np.zeros(3))
 
@@ -411,25 +409,25 @@ class TestGreedyActing:
     def test_policy_table_covers_state_space(self, dqn_lambda0_run):
         env, _, result = dqn_lambda0_run
         pol = QPolicy(result.spec, result.params, env)
-        table = {s: pol.act(s) for s in env.all_states()}
-        assert set(table) == set(env.all_states())
+        table = {s: pol.act(s) for s in range(env.n_states)}
+        assert len(table) == 48
         for s, a in table.items():
-            assert a in valid_actions(s, env)
+            assert mdp(env).valid[s, a]
 
     def test_equal_q_values_pick_lowest_valid(self):
         spec = network_spec(P, TINY_DRQN, True)
         params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
         pol = QPolicy(spec, params, P)
         pol.reset(np.random.default_rng(0))
-        for s in (State(3, 2, 1), State(0, 0, 0), State(1, 5, 0)):
-            assert pol.act(s) == Action(0, 0)
+        for d, b, g in ((3, 2, 1), (0, 0, 0), (1, 5, 0)):
+            assert pol.act(state_id(d, b, g, P)) == action_id(0, 0, P)
 
     def test_recurrent_policy_deterministic_stream(self):
         rng = np.random.default_rng(4)
         spec = network_spec(P, TINY_DRQN, True)
         params = init_params(spec, rng)
-        stream = [State(int(rng.integers(4)), int(rng.integers(6)),
-                        int(rng.integers(2))) for _ in range(30)]
+        stream = [state_id(int(rng.integers(4)), int(rng.integers(6)),
+                           int(rng.integers(2)), P) for _ in range(30)]
         pol = QPolicy(spec, params, P)
         seqs = []
         for _ in range(2):
@@ -440,5 +438,5 @@ class TestGreedyActing:
     def test_policies_emit_only_valid_actions(self, dqn_lambda0_run):
         env, _, result = dqn_lambda0_run
         pol = QPolicy(result.spec, result.params, env)
-        for s in env.all_states():
-            assert pol.act(s) in valid_actions(s, env)
+        for s in range(env.n_states):
+            assert mdp(env).valid[s, pol.act(s)]

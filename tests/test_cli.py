@@ -102,6 +102,25 @@ class TestExitCodes:
         assert "gru_layers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command",
+                             ["train", "sweep-lambda", "validate-config"])
+    @pytest.mark.parametrize("agent, ini, key", [
+        ("dqn", "[agent]\nepisodes = 2\nbuffer_capacity = 8\n"
+                "batch_size = 32\n", "buffer_capacity"),
+        ("drqn", "[env]\nepisode_len = 20\n", "episode_len"),
+    ], ids=["dqn-batch-beyond-buffer", "drqn-window-beyond-episode"])
+    def test_learner_that_cannot_train_is_config_error(
+            self, tmp_path, capsys, command, agent, ini, key):
+        # a dqn whose ring never holds a batch trains nothing; a drqn
+        # window longer than an episode cannot be sampled
+        path = tmp_path / "bad.ini"
+        path.write_text(ini)
+        out = tmp_path / "out"
+        assert main([command, "--agent", agent, "--config", str(path),
+                     "--scale", "desk", "--out", str(out)]) == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _net(input_dim, hidden, output_dim=54):
     return NetworkSpec(input_dim=input_dim,
@@ -191,6 +210,18 @@ class TestEvaluate:
         assert main(["evaluate", "--agent", "greedy", "--scale", "desk",
                      "--seed", "1"]) == 0
         assert (tmp_path / "envout" / "metrics.csv").exists()
+
+    def test_theta_zero_matches_greedy(self, tmp_path):
+        # theta 0 draws no random number, so it plays greedy's episodes
+        rows = {}
+        for agent in (["greedy"], ["theta", "--theta", "0"]):
+            out = tmp_path / agent[0]
+            assert main(["evaluate", "--agent", *agent, "--scale", "desk",
+                         "--seed", "7", "--out", str(out)]) == 0
+            rows[agent[0]] = read_csv(out / "metrics.csv")[0]
+        assert rows["greedy"].pop("label") == "greedy"
+        assert rows["theta"].pop("label") == "theta=0"
+        assert rows["theta"] == rows["greedy"]
 
     def test_theta_zero_sweep_matches_greedy_row(self, tmp_path):
         greedy_out = tmp_path / "greedy"

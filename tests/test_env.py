@@ -3,78 +3,98 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mecpriv.env import (Action, EnvParams, InvalidActionError, State,
-                         action_mask, cost, energy, latency, reward,
-                         sample_initial_state, step, valid_actions)
+from mecpriv.env import (EnvParams, InvalidActionError, mdp, reward,
+                         sample_initial_state, state_id, step)
+
+from conftest import action_id
 
 P = EnvParams()
 P_DT1 = EnvParams(slot_duration=1.0)
+M = mdp(P)
+TABLES = ("l", "latency", "energy", "cost", "heuristic")
 
 
-def brute_force_actions(s, p):
+def all_states(p):
+    """(d, b, g) of every state, in state id order."""
+    return [(d, b, g) for d in range(p.d_max + 1)
+            for b in range(p.b_max + 1) for g in (0, 1)]
+
+
+def brute_force_actions(d, b, p):
     """Independent enumeration of feasible (q, t) pairs."""
     out = []
     for q in range(p.b_max + 1):
         for t in range(p.d_max + p.b_max + 1):
-            if q + t <= s.d + s.b:
-                out.append(Action(q, t))
-    return sorted(out, key=lambda a: (a.q, a.t))
+            if q + t <= d + b:
+                out.append((q, t))
+    return sorted(out)
+
+
+def valid_pairs(d, b, g, p=P):
+    """The (q, t) pairs of the MDP's valid action ids, in id order."""
+    m = mdp(p)
+    return [(int(m.q[a]), int(m.t[a]))
+            for a in m.valid_ids[state_id(d, b, g, p)]]
+
+
+def entry(name, d, b, g, q, t, p=P_DT1):
+    """One (state, action) entry of the MDP table called name."""
+    return getattr(mdp(p), name)[state_id(d, b, g, p), action_id(q, t, p)]
 
 
 class TestValidActions:
     def test_empty_state_only_noop(self):
-        assert valid_actions(State(0, 0, 0), P) == [Action(0, 0)]
+        assert valid_pairs(0, 0, 0) == [(0, 0)]
 
     def test_single_task(self):
-        assert valid_actions(State(1, 0, 1), P) == [
-            Action(0, 0), Action(0, 1), Action(1, 0)]
+        assert valid_pairs(1, 0, 1) == [(0, 0), (0, 1), (1, 0)]
 
     def test_full_state_count(self):
-        s = State(3, 5, 0)
-        oracle = brute_force_actions(s, P)
+        oracle = brute_force_actions(3, 5, P)
         assert len(oracle) == 39
-        assert valid_actions(s, P) == oracle
+        assert valid_pairs(3, 5, 0) == oracle
 
     def test_never_empty_and_matches_oracle_everywhere(self):
-        for s in P.all_states():
-            acts = valid_actions(s, P)
-            assert acts[0] == Action(0, 0)
-            assert acts == brute_force_actions(s, P)
+        for d, b, g in all_states(P):
+            acts = valid_pairs(d, b, g)
+            assert acts[0] == (0, 0)
+            assert acts == brute_force_actions(d, b, P)
 
     def test_mask_agrees_with_list(self):
-        for s in P.all_states():
-            mask = action_mask(s, P)
-            listed = {P.action_index(a) for a in valid_actions(s, P)}
-            assert set(np.flatnonzero(mask)) == listed
+        for d, b, g in all_states(P):
+            s = state_id(d, b, g, P)
+            listed = {action_id(q, t, P) for q, t in brute_force_actions(d, b, P)}
+            assert set(np.flatnonzero(M.valid[s])) == listed
+            assert list(M.valid_ids[s]) == sorted(listed)
 
 
 class TestCostModel:
     def test_latency_offload_only(self):
-        assert latency(State(3, 2, 1), Action(0, 5), P_DT1) == pytest.approx(0.5)
+        assert entry("latency", 3, 2, 1, 0, 5) == pytest.approx(0.5)
 
     def test_latency_pure_queuing(self):
-        assert latency(State(0, 2, 0), Action(2, 0), P_DT1) == pytest.approx(2.0)
+        assert entry("latency", 0, 2, 0, 2, 0) == pytest.approx(2.0)
 
     def test_latency_noop(self):
-        assert latency(State(0, 0, 1), Action(0, 0), P_DT1) == 0.0
+        assert entry("latency", 0, 0, 1, 0, 0) == 0.0
 
     def test_energy_mixed(self):
-        assert energy(State(3, 0, 1), Action(0, 2), P_DT1) == pytest.approx(2.0)
+        assert entry("energy", 3, 0, 1, 0, 2) == pytest.approx(2.0)
 
     def test_energy_bad_channel(self):
-        assert energy(State(1, 0, 0), Action(0, 1), P_DT1) == pytest.approx(2.0)
+        assert entry("energy", 1, 0, 0, 0, 1) == pytest.approx(2.0)
 
     def test_energy_noop(self):
-        assert energy(State(0, 0, 0), Action(0, 0), P_DT1) == 0.0
+        assert entry("energy", 0, 0, 0, 0, 0) == 0.0
 
     def test_cost_good_channel_offload(self):
-        assert cost(State(3, 0, 1), Action(0, 3), P_DT1) == pytest.approx(1.74)
+        assert entry("cost", 3, 0, 1, 0, 3) == pytest.approx(1.74)
 
     def test_cost_noop(self):
-        assert cost(State(0, 0, 1), Action(0, 0), P_DT1) == 0.0
+        assert entry("cost", 0, 0, 1, 0, 0) == 0.0
 
     def test_cost_single_local(self):
-        assert cost(State(1, 0, 0), Action(0, 0), P_DT1) == pytest.approx(1.1)
+        assert entry("cost", 1, 0, 0, 0, 0) == pytest.approx(1.1)
 
     def test_reward_arithmetic(self):
         assert reward(1.74, 4.0, 10.0) == pytest.approx(38.26)
@@ -86,73 +106,89 @@ class TestCostModel:
         assert reward(0.0, 0.0, 7.0) == 0.0
 
     def test_invalid_action_rejected(self):
-        with pytest.raises(InvalidActionError):
-            latency(State(1, 0, 0), Action(0, 2), P)
-        with pytest.raises(InvalidActionError):
-            energy(State(3, 5, 0), Action(6, 0), P)
-        with pytest.raises(InvalidActionError):
-            step(State(0, 0, 0), Action(0, 1), np.random.default_rng(0), P)
+        rng = np.random.default_rng(0)
+        for (d, b, g), (q, t) in (((1, 0, 0), (0, 2)), ((3, 5, 0), (6, 0)),
+                                  ((0, 0, 0), (0, 1))):
+            with pytest.raises(InvalidActionError):
+                step(state_id(d, b, g, P), action_id(q, t, P), rng, P)
+        for name in TABLES:
+            table = getattr(M, name)
+            assert np.isnan(table[~M.valid]).all()
+            assert not np.isnan(table[M.valid]).any()
 
     def test_cost_nonnegative_grid(self):
-        for s in P.all_states():
-            for a in valid_actions(s, P):
-                assert cost(s, a, P) >= 0.0
+        assert np.all(M.cost[M.valid] >= 0.0)
 
     def test_cost_monotone_in_t_bad_channel(self):
         # holds because e_tx_bad > w_q * (local time - tx time) per task
         gap = P.delay_weight * (P.local_time_per_task() - P.tx_time_per_task())
         assert P.e_tx_bad > gap
-        for s in P.all_states():
-            if s.g != 0:
+        for d, b, g in all_states(P):
+            if g != 0:
                 continue
-            for q in range(min(P.b_max, s.d + s.b) + 1):
-                costs = [cost(s, Action(q, t), P)
-                         for t in range(s.d + s.b - q + 1)]
+            for q in range(min(P.b_max, d + b) + 1):
+                costs = [entry("cost", d, b, g, q, t, P)
+                         for t in range(d + b - q + 1)]
                 assert all(b >= a - 1e-12 for a, b in zip(costs, costs[1:]))
 
     def test_latency_decomposition_exact(self):
-        for s in P.all_states():
-            for a in valid_actions(s, P):
-                l = s.d + s.b - a.q - a.t
-                pure = max(a.t * P.tx_time_per_task(),
+        for d, b, g in all_states(P):
+            for q, t in brute_force_actions(d, b, P):
+                l = d + b - q - t
+                pure = max(t * P.tx_time_per_task(),
                            l * P.local_time_per_task())
-                assert latency(s, a, P) == a.q * P.slot_duration + pure
-                assert latency(s, a, P) - a.q * P.slot_duration == \
+                lat = entry("latency", d, b, g, q, t, P)
+                assert lat == q * P.slot_duration + pure
+                assert lat - q * P.slot_duration == \
                     pytest.approx(pure, abs=1e-12)
+
+    def test_tables_are_the_scalar_formulas(self):
+        # every entry is the float the per-slot formula gives, bit for bit
+        for d, b, g in all_states(P):
+            for q, t in brute_force_actions(d, b, P):
+                l = d + b - q - t
+                lat = q * P.slot_duration + max(t * P.tx_time_per_task(),
+                                                l * P.local_time_per_task())
+                en = (P.e_tx_good if g == 1 else P.e_tx_bad) * t \
+                    + P.e_local * l
+                got = {name: entry(name, d, b, g, q, t, P) for name in TABLES}
+                assert got == {"l": l, "latency": lat, "energy": en,
+                               "cost": P.delay_weight * lat + en,
+                               "heuristic": float(t if g == 0 else l)}
 
 
 class TestTransitions:
     def test_buffer_becomes_q(self):
         rng = np.random.default_rng(3)
         for q in range(4):
-            out = step(State(3, 2, 1), Action(q, 1), rng, P)
-            assert out.next_state.b == q
+            nxt = step(state_id(3, 2, 1, P), action_id(q, 1, P), rng, P)
+            assert M.b[nxt] == q
 
     def test_degenerate_channel_chain(self):
         sticky = dataclasses.replace(P, p_channel_stay=1.0)
         flippy = dataclasses.replace(P, p_channel_stay=0.0)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            assert step(State(1, 0, 1), Action(0, 0), rng, sticky).next_state.g == 1
-            assert step(State(1, 0, 0), Action(0, 0), rng, flippy).next_state.g == 1
+            assert M.g[step(state_id(1, 0, 1, P), 0, rng, sticky)] == 1
+            assert M.g[step(state_id(1, 0, 0, P), 0, rng, flippy)] == 1
 
     def test_new_task_distribution_uniform(self):
         rng = np.random.default_rng(11)
         counts = np.zeros(P.d_max + 1)
         n = 100_000
         for _ in range(n):
-            counts[step(State(0, 0, 0), Action(0, 0), rng, P).next_state.d] += 1
+            counts[M.d[step(state_id(0, 0, 0, P), 0, rng, P)]] += 1
         assert np.all(np.abs(counts / n - 0.25) < 0.01)
 
     def test_step_deterministic_given_seed(self):
         def run(seed):
             rng = np.random.default_rng(seed)
-            s = State(2, 1, 0)
+            s = state_id(2, 1, 0, P)
             outs = []
             for _ in range(20):
-                o = step(s, Action(1, 1), rng, P)
-                outs.append((o.next_state, o.latency, o.energy, o.cost))
-                s = dataclasses.replace(o.next_state, b=2)
+                nxt = step(s, action_id(1, 1, P), rng, P)
+                outs.append(nxt)
+                s = state_id(M.d[nxt], 2, M.g[nxt], P)
             return outs
 
         assert run(42) == run(42)
@@ -161,12 +197,14 @@ class TestTransitions:
         rng = np.random.default_rng(0)
         for forced in (1.0, 0.0):
             env = dataclasses.replace(P, p_channel_stay=forced)
-            for s in env.all_states():
-                for a in valid_actions(s, env):
-                    nxt = step(s, a, rng, env).next_state
-                    assert 0 <= nxt.d <= env.d_max
-                    assert 0 <= nxt.b <= env.b_max
-                    assert nxt.g in (0, 1)
+            m = mdp(env)
+            for s in range(env.n_states):
+                for a in m.valid_ids[s]:
+                    nxt = step(s, a, rng, env)
+                    assert 0 <= nxt < env.n_states
+                    assert 0 <= m.d[nxt] <= env.d_max
+                    assert m.b[nxt] == m.q[a] <= env.b_max
+                    assert m.g[nxt] in (0, 1)
 
     def test_d_next_independent_of_d(self):
         # chi-square over the (d, d') contingency table, df = 9
@@ -174,9 +212,9 @@ class TestTransitions:
         table = np.zeros((P.d_max + 1, P.d_max + 1))
         d = 0
         for _ in range(100_000):
-            nxt = step(State(d, 0, 0), Action(0, 0), rng, P).next_state
-            table[d, nxt.d] += 1
-            d = nxt.d
+            nxt = step(state_id(d, 0, 0, P), 0, rng, P)
+            table[d, M.d[nxt]] += 1
+            d = M.d[nxt]
         expected = table.sum(1, keepdims=True) * table.sum(0) / table.sum()
         stat = ((table - expected) ** 2 / expected).sum()
         assert stat < 27.88  # 0.1% critical value
@@ -186,8 +224,8 @@ class TestTransitions:
         stays = {0: [0, 0], 3: [0, 0]}  # per-d stratum: [stay count, total]
         for d in (0, 3):
             for _ in range(20_000):
-                nxt = step(State(d, 0, 1), Action(0, 0), rng, P).next_state
-                stays[d][0] += nxt.g == 1
+                nxt = step(state_id(d, 0, 1, P), 0, rng, P)
+                stays[d][0] += M.g[nxt] == 1
                 stays[d][1] += 1
         rates = [c / n for c, n in stays.values()]
         assert all(abs(r - 0.95) < 0.01 for r in rates)
@@ -196,19 +234,19 @@ class TestTransitions:
 class TestInitialState:
     def test_buffer_empty(self):
         rng = np.random.default_rng(1)
-        assert all(sample_initial_state(rng, P).b == 0 for _ in range(200))
+        assert all(M.b[sample_initial_state(rng, P)] == 0 for _ in range(200))
 
     def test_channel_uniform(self):
         rng = np.random.default_rng(2)
         n = 100_000
-        goods = sum(sample_initial_state(rng, P).g for _ in range(n))
+        goods = sum(M.g[sample_initial_state(rng, P)] for _ in range(n))
         assert abs(goods / n - 0.5) < 0.01
 
     def test_bounds_hold(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
             s = sample_initial_state(rng, P)
-            assert 0 <= s.d <= P.d_max and s.b == 0 and s.g in (0, 1)
+            assert 0 <= M.d[s] <= P.d_max and M.b[s] == 0 and M.g[s] in (0, 1)
 
 
 class TestParams:
@@ -225,8 +263,15 @@ class TestParams:
 
     def test_action_index_round_trip(self):
         assert P.n_actions == 54 and P.n_states == 48
-        for i in range(P.n_actions):
-            assert P.action_index(P.action_from_index(i)) == i
+        assert len(M.q) == len(M.t) == P.n_actions
+        for q in range(P.b_max + 1):
+            for t in range(P.t_max + 1):
+                a = action_id(q, t, P)
+                assert (M.q[a], M.t[a]) == (q, t)
+        assert len(M.d) == len(M.b) == len(M.g) == P.n_states
+        for s, dbg in enumerate(all_states(P)):
+            assert state_id(*dbg, P) == s
+            assert (M.d[s], M.b[s], M.g[s]) == dbg
 
     @pytest.mark.parametrize("kwargs", [
         dict(p_channel_stay=1.2),

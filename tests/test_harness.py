@@ -229,6 +229,19 @@ out_dir = runs/test
         with pytest.raises(ConfigError, match="gru_layers"):
             RunConfig(env=EnvParams(), agent=agent, policy="drqn")
 
+    def test_dqn_batch_must_fit_the_buffer(self):
+        agent = AgentConfig(batch_size=32, buffer_capacity=8)
+        RunConfig(env=EnvParams(), agent=agent, policy="drqn")
+        with pytest.raises(ConfigError, match="buffer_capacity"):
+            RunConfig(env=EnvParams(), agent=agent, policy="dqn")
+
+    def test_drqn_window_must_fit_an_episode(self):
+        env = EnvParams(episode_len=20)
+        agent = AgentConfig(seq_len=48, tbptt_len=16)
+        RunConfig(env=env, agent=agent, policy="dqn")
+        with pytest.raises(ConfigError, match="episode_len"):
+            RunConfig(env=env, agent=agent, policy="drqn")
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[env]\nbuffer_len = 3\n")

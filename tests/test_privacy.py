@@ -1,13 +1,16 @@
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from mecpriv.env import Action, State
-from mecpriv.privacy import (DEFAULT_HEURISTIC, EmptyWindowError,
-                             GreedyDeviationHeuristic, WindowHistory,
+from mecpriv.env import EnvParams, mdp, state_id
+from mecpriv.harness import write_manifest
+from mecpriv.privacy import (EmptyWindowError, WindowHistory,
                              privacy_breakdown)
+
+from conftest import action_id
 
 
 def random_window(rng, size, capacity=None):
@@ -185,15 +188,21 @@ class TestBreakdown:
         assert privacy_breakdown(w) == privacy_breakdown(fresh_window(w))
 
 
+def heuristic(d, b, g, q, t, p=EnvParams()):
+    """The MDP's heuristic stand-in score of one (state, action)."""
+    return mdp(p).heuristic[state_id(d, b, g, p), action_id(q, t, p)]
+
+
 class TestHeuristic:
     def test_no_deviation_scores_zero(self):
-        assert DEFAULT_HEURISTIC.score(State(3, 0, 1), Action(0, 3)) == 0.0
+        assert heuristic(3, 0, 1, 0, 3) == 0.0
 
     def test_offload_in_bad_channel(self):
-        assert DEFAULT_HEURISTIC.score(State(3, 0, 0), Action(0, 2)) == 2.0
+        assert heuristic(3, 0, 0, 0, 2) == 2.0
 
     def test_local_in_good_channel(self):
-        assert DEFAULT_HEURISTIC.score(State(3, 0, 1), Action(0, 0)) == 3.0
+        assert heuristic(3, 0, 1, 0, 0) == 3.0
 
-    def test_labeled_as_standin(self):
-        assert "standin" in GreedyDeviationHeuristic.name
+    def test_labeled_as_standin(self, tmp_path):
+        path = write_manifest(tmp_path / "manifest.json", {}, (1,))
+        assert "standin" in json.loads(path.read_text())["heuristic_metric"]
