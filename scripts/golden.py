@@ -8,14 +8,16 @@ must print the same lines on both:
 
 The commands run in-process through mecpriv.cli.main, in a temporary
 directory, with one BLAS thread. At desk scale they cover the baselines
-(evaluate, attack, sweep-theta), short trainings of both learners with an
-evaluate and an attack of each checkpoint, a short lambda sweep in two
-worker processes, and three full 300-episode desk trainings (the only runs
-long enough to wrap the DQN's replay ring). Two short trainings of both
-learners at paper scale (two 160-slot episodes, one update every 40
-slots, one evaluation episode) cover the paper preset's soft target
-update, which keeps 1 - 1e-4 of the target net instead of the desk
-preset's 0.99. The whole set took about four minutes on one core of a
+(evaluate, attack, sweep-theta), an attack on theta 0.5 whose 500-slot fit
+trace lacks volumes that its evaluation trace has (the attacker's guess for
+an unseen volume and a non-empty unseen_t column), short trainings of both
+learners with an evaluate and an attack of each checkpoint, a short lambda
+sweep in two worker processes, and three full 300-episode desk trainings
+(the only runs long enough to wrap the DQN's replay ring). Two short
+trainings of both learners at paper scale (two 160-slot episodes, one
+update every 40 slots, one evaluation episode) cover the paper preset's
+soft target update, which keeps 1 - 1e-4 of the target net instead of the
+desk preset's 0.99. The whole set took about four minutes on one core of a
 2-vCPU machine.
 """
 import os
@@ -45,6 +47,8 @@ def commands(ini3: str, ini6: str, ini_paper: str):
     for agent in ("greedy", "uniform"):
         yield f"attack-{agent}", ["attack", "--agent", agent, *desk,
                                   "--seed", "7", "--steps", "20000"]
+    yield "attack-theta0.5", ["attack", "--agent", "theta", "--theta", "0.5",
+                              *desk, "--seed", "7", "--steps", "500"]
     yield "sweep-theta", ["sweep-theta", *desk, "--config", ini3]
     yield "sweep-lambda", ["sweep-lambda", *desk, "--config", ini3, "--jobs", "2"]
     for agent in ("dqn", "drqn"):

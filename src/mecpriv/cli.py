@@ -229,12 +229,7 @@ def cmd_attack(args) -> int:
     model = fit(fit_trace, n_d=cfg.env.d_max + 1, n_g=2)
     report = attack_evaluation(eval_trace, model)
     print(format_report(cfg.policy, report))
-    write_attack_csv(out / "attack.csv", [{
-        "label": cfg.policy,
-        "success_d": report.success_d, "bound_d": report.bound_d,
-        "success_g": report.success_g, "bound_g": report.bound_g,
-        "n_eval": report.n_eval, "unseen_t": ";".join(map(str, report.unseen_t)),
-    }])
+    write_attack_csv(out / "attack.csv", cfg.policy, report)
     write_manifest(out / "manifest.json", config_as_dict(cfg), cfg.seeds,
                    extra={"command": "attack"})
     return 0

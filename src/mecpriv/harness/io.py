@@ -11,22 +11,25 @@ import json
 from pathlib import Path
 
 from .. import __version__ as artifact_version
-from .runner import RunRecord
+from ..adversary import AttackReport
 
 
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ";".join(map(str, value))
     return str(value)
 
 
-def write_metrics_csv(path: str | Path, records: list[RunRecord],
+def write_metrics_csv(path: str | Path, records: list,
                       extra: dict[str, list] | None = None) -> Path:
-    """One row per record; optional leading columns (e.g. theta, lambda)."""
+    """One row per dataclass record, one column per field; optional leading
+    columns (e.g. theta, lambda)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     extra = extra or {}
-    field_names = [f.name for f in dataclasses.fields(RunRecord)]
+    field_names = [f.name for f in dataclasses.fields(records[0])]
     header = list(extra) + field_names
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -50,17 +53,10 @@ def write_learning_curve_csv(path: str | Path,
     return path
 
 
-def write_attack_csv(path: str | Path, rows: list[dict]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = ["label", "success_d", "bound_d", "success_g", "bound_g",
-              "n_eval", "unseen_t"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in header])
-    return path
+def write_attack_csv(path: str | Path, label: str,
+                     report: AttackReport) -> Path:
+    """The attack command's one row: the label, then the report's fields."""
+    return write_metrics_csv(path, [report], extra={"label": [label]})
 
 
 def write_manifest(path: str | Path, config_dict: dict, seeds,

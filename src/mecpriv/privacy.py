@@ -26,8 +26,7 @@ class WindowHistory:
     push/evict so entropy queries cost O(distinct atoms), not O(window).
     """
 
-    def __init__(self, capacity: int, d_max: int | None = None,
-                 t_max: int | None = None):
+    def __init__(self, capacity: int, d_max: int, t_max: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -49,9 +48,9 @@ class WindowHistory:
         d, g, t = (int(entry[0]), int(entry[1]), int(entry[2]))
         if d < 0 or t < 0 or g not in (0, 1):
             raise ValueError(f"entry {entry} out of range")
-        if self.d_max is not None and d > self.d_max:
+        if d > self.d_max:
             raise ValueError(f"d={d} exceeds d_max={self.d_max}")
-        if self.t_max is not None and t > self.t_max:
+        if t > self.t_max:
             raise ValueError(f"t={t} exceeds t_max={self.t_max}")
         return (d, g, t)
 

@@ -30,7 +30,7 @@ def fresh_window(w):
 
 
 def window_of(entries):
-    w = WindowHistory(len(entries))
+    w = WindowHistory(len(entries), d_max=3, t_max=8)
     for e in entries:
         w.push(e)
     return w
@@ -53,19 +53,19 @@ def brute_force_breakdown(entries):
 
 class TestWindow:
     def test_fifo_eviction(self):
-        w = WindowHistory(2)
+        w = WindowHistory(2, d_max=3, t_max=8)
         for e in [(0, 0, 0), (1, 1, 1), (2, 0, 2)]:
             w.push(e)
         assert w.entries == ((1, 1, 1), (2, 0, 2))
 
     def test_length_capped(self):
-        w = WindowHistory(5)
+        w = WindowHistory(5, d_max=3, t_max=8)
         for i in range(12):
             w.push((i % 4, i % 2, i % 9))
         assert len(w) == 5
 
     def test_identical_pushes_point_mass(self):
-        w = WindowHistory(4)
+        w = WindowHistory(4, d_max=3, t_max=8)
         for _ in range(4):
             w.push((2, 1, 3))
         assert w.entries == ((2, 1, 3),) * 4
@@ -113,14 +113,14 @@ class TestEntropy:
 
 class TestBreakdown:
     def test_constant_window_all_zero(self):
-        w = WindowHistory(6)
+        w = WindowHistory(6, d_max=3, t_max=8)
         for _ in range(6):
             w.push((1, 0, 2))
         br = privacy_breakdown(w)
         assert (br.h_d_given_t, br.h_g_given_t, br.h_t, br.p_total) == (0, 0, 0, 0)
 
     def test_two_atom_window(self):
-        w = WindowHistory(4)
+        w = WindowHistory(4, d_max=3, t_max=8)
         for e in [(0, 0, 0), (0, 0, 0), (1, 1, 1), (1, 1, 1)]:
             w.push(e)
         br = privacy_breakdown(w)
@@ -130,7 +130,7 @@ class TestBreakdown:
         assert br.p_total == pytest.approx(1.0)
 
     def test_independent_binary_window(self):
-        w = WindowHistory(8)
+        w = WindowHistory(8, d_max=3, t_max=8)
         for d in (0, 1):
             for g in (0, 1):
                 for t in (0, 1):
@@ -143,10 +143,10 @@ class TestBreakdown:
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyWindowError):
-            privacy_breakdown(WindowHistory(3))
+            privacy_breakdown(WindowHistory(3, d_max=3, t_max=8))
 
     def test_warmup_single_entry_zero(self):
-        w = WindowHistory(100)
+        w = WindowHistory(100, d_max=3, t_max=8)
         w.push((2, 1, 4))
         assert privacy_breakdown(w).p_total == 0.0
 
