@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..env import EnvParams, mdp
-from ..nn import backward, forward, forward_step, init_hidden
+from ..nn import backward, forward, forward_step, gru_kernels, init_hidden
 from .common import (AgentConfig, encode, epsilon_greedy, loss_gradient,
                      masked_max, obs_dim)
 
@@ -27,11 +27,30 @@ class QPolicy:
     def __init__(self, spec, params, env: EnvParams):
         self.spec = spec
         self.params = params
-        self.env = env
         self.eps = 0.0
         self._reads_prev = spec.input_dim == obs_dim(env)
         self._valid = mdp(env).valid
+        # Every input the net can see, encoded once: by state id, and by
+        # the previous action's id + 1 (0 for none) if the net reads it.
+        s = np.arange(env.n_states)
+        if self._reads_prev:
+            s, prev = np.meshgrid(s, np.arange(-1, env.n_actions),
+                                  indexing="ij")
+            self._x = encode(s, env, prev)
+        else:
+            self._x = encode(s, env)
         self.reset(None)
+
+    @property
+    def params(self):
+        """The net's parameters; assigning new ones rebuilds the GRU
+        kernels that acting steps with."""
+        return self._params
+
+    @params.setter
+    def params(self, params) -> None:
+        self._params = params
+        self._kernels = gru_kernels(self.spec, params)
 
     def reset(self, rng: np.random.Generator | None) -> None:
         self._rng = rng
@@ -39,9 +58,9 @@ class QPolicy:
         self._prev = -1
 
     def act(self, s: int) -> int:
-        prev = self._prev if self._reads_prev else None
-        x = encode(s, self.env, prev)[None, :]
-        q, self._h = forward_step(self.spec, self.params, x, self._h)
+        x = self._x[s, self._prev + 1] if self._reads_prev else self._x[s]
+        q, self._h = forward_step(self.spec, self._params, x[None], self._h,
+                                  self._kernels)
         self._prev = epsilon_greedy(q[0], self._valid[s], self.eps, self._rng)
         return self._prev
 

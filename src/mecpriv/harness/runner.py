@@ -11,7 +11,7 @@ from ..agents.common import RewardBaseline, alpha_at
 from ..baselines import Policy
 from ..env import EnvParams, mdp, reward, sample_initial_state, step
 from ..nn import Adam, clone_params, init_params, polyak_update
-from ..privacy import WindowHistory, privacy_breakdown
+from ..privacy import privacy_breakdown
 
 
 @dataclass
@@ -93,37 +93,28 @@ def slots(policy: Policy, env: EnvParams, rng: np.random.Generator):
         s = s_next
 
 
-def rewarded_slots(policy: Policy, env: EnvParams, rng: np.random.Generator):
-    """slots plus the privacy window; yields (state, action, next state,
-    privacy breakdown, reward)."""
+def scored(s: np.ndarray, a: np.ndarray, env: EnvParams, start: int = 0):
+    """Privacy breakdown and rewards of slots start.. of a run of state and
+    action ids; the slots before start only fill their windows."""
     m = mdp(env)
-    window = WindowHistory(env.window, d_max=env.d_max, t_max=env.t_max)
-    for s, a, s_next in slots(policy, env, rng):
-        window.push((m.d[s], m.g[s], m.t[a]))
-        br = privacy_breakdown(window)
-        yield s, a, s_next, br, reward(float(m.cost[s, a]), br.p_total,
-                                       env.privacy_weight)
+    br = privacy_breakdown(m.d[s], m.g[s], m.t[a], env.window, env.d_max,
+                           env.t_max, start)
+    return br, reward(m.cost[s[start:], a[start:]], br.p_total,
+                      env.privacy_weight)
 
 
 def run_episode(policy: Policy, env: EnvParams,
                 rng: np.random.Generator) -> EpisodeLog:
-    """Roll one rewarded episode and log every slot."""
+    """Roll one episode, then score and log every slot."""
     m = mdp(env)
-    n = env.episode_len
-    s, a = (np.empty(n, dtype=np.int64) for _ in range(2))
-    cols = {name: np.empty(n) for name in ("h_dt", "h_gt", "p_total",
-                                           "reward")}
-    for i, (s[i], a[i], s_next, br, r) in enumerate(
-            rewarded_slots(policy, env, rng)):
-        cols["h_dt"][i] = br.h_dt
-        cols["h_gt"][i] = br.h_gt
-        cols["p_total"][i] = br.p_total
-        cols["reward"][i] = r
+    s, a, s_next = np.array(list(slots(policy, env, rng))).T
+    br, r = scored(s, a, env)
     return EpisodeLog(d=m.d[s], b=m.b[s], g=m.g[s], q=m.q[a], t=m.t[a],
                       l=m.l[s, a].astype(np.int64), latency=m.latency[s, a],
                       energy=m.energy[s, a], cost=m.cost[s, a],
-                      heuristic=m.heuristic[s, a], **cols,
-                      buffer_final=int(m.b[s_next]))
+                      heuristic=m.heuristic[s, a], h_dt=br.h_dt, h_gt=br.h_gt,
+                      p_total=br.p_total, reward=r,
+                      buffer_final=int(m.b[s_next[-1]]))
 
 
 def episode_metrics(log: EpisodeLog) -> EpisodeMetrics:
@@ -203,16 +194,30 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
     baseline = RewardBaseline(cfg.center_rewards, cfg.scale_rewards)
     curve: list[tuple[int, float, float]] = []
     grad_steps = 0
+    states = np.empty(env.episode_len + 1, dtype=np.int64)
+    actions = np.empty(env.episode_len, dtype=np.int64)
     for ep in range(cfg.episodes):
         actor.eps = epsilon_at(cfg, ep)
         opt.lr = alpha_at(cfg, ep)
         total = 0.0
-        for n, (s, a, s_next, _, r) in enumerate(
-                rewarded_slots(actor, env, rng)):
-            replay.record(s, a, r, s_next)
-            baseline.add(r)
-            total += r
-            if n % cfg.update_every == 0 and \
+        scored_to = 0
+        for n, (states[n], actions[n], states[n + 1]) in enumerate(
+                slots(actor, env, rng)):
+            update = n % cfg.update_every == 0
+            if not update and n + 1 < env.episode_len:
+                continue
+            # Score the slots acted since the last update, reading the
+            # window's W - 1 slots before them; store them in slot order,
+            # then update, as a slot-by-slot loop would.
+            lo = max(0, scored_to - env.window + 1)
+            _, r = scored(states[lo:n + 1], actions[lo:n + 1], env,
+                          scored_to - lo)
+            for i, r_i in enumerate(r.tolist(), scored_to):
+                replay.record(states[i], actions[i], r_i, states[i + 1])
+                baseline.add(r_i)
+                total += r_i
+            scored_to = n + 1
+            if update and \
                     (batch := replay.sample_batch(cfg, env, rng)) is not None:
                 actor.params, _ = q_update(
                     spec, actor.params, target, opt, batch, env, cfg,

@@ -1,6 +1,6 @@
 from .network import (Dense, GRU, NetworkSpec, Params, backward, clone_params,
-                      forward, forward_step, init_hidden, init_params,
-                      param_shapes, zeros_like_params)
+                      forward, forward_step, gru_kernels, init_hidden,
+                      init_params, param_shapes, zeros_like_params)
 from .optim import Adam, polyak_update
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .gradcheck import gradient_check
@@ -8,6 +8,6 @@ from .gradcheck import gradient_check
 __all__ = [
     "Adam", "CheckpointError", "Dense", "GRU", "NetworkSpec", "Params",
     "backward", "clone_params", "forward", "forward_step", "gradient_check",
-    "init_hidden", "init_params", "load_checkpoint", "param_shapes",
-    "polyak_update", "save_checkpoint", "zeros_like_params",
+    "gru_kernels", "init_hidden", "init_params", "load_checkpoint",
+    "param_shapes", "polyak_update", "save_checkpoint", "zeros_like_params",
 ]

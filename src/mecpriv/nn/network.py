@@ -155,6 +155,14 @@ class GRUKernels:
                    np.concatenate((p["b_z"], p["b_r"])))
 
 
+def gru_kernels(spec: NetworkSpec, params: Params) -> list:
+    """GRUKernels of each GRU layer, None for a dense one: what forward
+    builds on each call, built once for a caller that steps one parameter
+    set many times."""
+    return [GRUKernels.of(p) if isinstance(layer, GRU) else None
+            for layer, p in zip(spec.layers, params)]
+
+
 def _gru_step(p, x, h, k: GRUKernels):
     """One GRU timestep; k is GRUKernels.of(p)."""
     xw = x @ k.w
@@ -188,7 +196,7 @@ class Cache:
 
 def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
             h0: list[np.ndarray] | None = None, collect_cache: bool = True,
-            outputs: bool = True):
+            outputs: bool = True, kernels: list | None = None):
     """Run the network over a (T, B, D) input sequence.
 
     Returns (outputs (T, B, out), final hidden list, cache or None). The
@@ -197,6 +205,7 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
     only GRU layers loop over timesteps, dense layers are one matmul.
     With outputs=False (no cache) the pass stops after the last GRU layer
     and returns None for the outputs: a burn-in needs the hidden state only.
+    kernels, if given, is gru_kernels(spec, params).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[2] != spec.input_dim:
@@ -221,7 +230,8 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
     for li, layer in enumerate(spec.layers):
         if isinstance(layer, GRU):
             h = h_list[gi]
-            k = GRUKernels.of(params[li])
+            k = (kernels[li] if kernels is not None
+                 else GRUKernels.of(params[li]))
             outs = np.empty((T, B, layer.units), dtype=np.float64)
             steps = [] if collect_cache else None
             for t in range(T):
@@ -245,9 +255,11 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
 
 
 def forward_step(spec: NetworkSpec, params: Params, x: np.ndarray,
-                 h: list[np.ndarray] | None):
-    """Single-timestep forward for (B, D) input; returns (y, new hidden)."""
-    out, h_new, _ = forward(spec, params, x[None, :, :], h, collect_cache=False)
+                 h: list[np.ndarray] | None, kernels: list | None = None):
+    """Single-timestep forward for (B, D) input; returns (y, new hidden).
+    kernels, if given, is gru_kernels(spec, params)."""
+    out, h_new, _ = forward(spec, params, x[None, :, :], h,
+                            collect_cache=False, kernels=kernels)
     return out[0], h_new
 
 

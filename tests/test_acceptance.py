@@ -16,7 +16,7 @@ from mecpriv.harness import (desk_env, episode_metrics, episode_rng, evaluate,
                              rollout_trace, run_episode, sweep_theta,
                              write_metrics_csv)
 from mecpriv.nn import Dense, GRU, NetworkSpec, gradient_check
-from mecpriv.privacy import WindowHistory, privacy_breakdown
+from mecpriv.privacy import privacy_breakdown
 
 from conftest import EVAL_EPISODES, EVAL_SEEDS
 
@@ -41,22 +41,21 @@ def test_criterion_2_entropy_oracle_equivalence():
     rng = np.random.default_rng(12)
     worst = 0.0
     for _ in range(1000):
-        w = WindowHistory(64, d_max=3, t_max=8)
-        for _ in range(int(rng.integers(1, 60))):
-            w.push((int(rng.integers(0, 4)), int(rng.integers(0, 2)),
-                    int(rng.integers(0, 9))))
-        br = privacy_breakdown(w)
-        n = len(w)
+        n = int(rng.integers(1, 60))
+        entries = [(int(rng.integers(0, 4)), int(rng.integers(0, 2)),
+                    int(rng.integers(0, 9))) for _ in range(n)]
+        br = privacy_breakdown(*zip(*entries), window=64, d_max=3, t_max=8,
+                               start=n - 1)
         from collections import Counter
-        joint = Counter(w.entries)
+        joint = Counter(entries)
         p_dt, p_gt, p_t = Counter(), Counter(), Counter()
         for (d, g, t), m in joint.items():
             p_dt[(d, t)] += m / n
             p_gt[(g, t)] += m / n
             p_t[t] += m / n
         h = lambda c: -sum(v * math.log2(v) for v in c.values())
-        worst = max(worst, abs(br.h_dt - h(p_dt)), abs(br.h_gt - h(p_gt)),
-                    abs(br.h_t - h(p_t)))
+        worst = max(worst, abs(br.h_dt[0] - h(p_dt)),
+                    abs(br.h_gt[0] - h(p_gt)), abs(br.h_t[0] - h(p_t)))
     _report("criterion 2 (entropy oracle equivalence)", worst < 1e-9,
             f"max deviation {worst:.2e} over 1000 windows")
 

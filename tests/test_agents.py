@@ -9,12 +9,15 @@ from mecpriv.agents import (AgentConfig, EpisodeBuffer, EpisodeTrace, QPolicy,
                             state_dim)
 from mecpriv.agents.common import RewardBaseline, alpha_at, loss_gradient
 from mecpriv.baselines import GreedyPolicy
-from mecpriv.env import EnvParams, mdp, state_id
+from mecpriv.env import EnvParams, mdp, reward, state_id
 from mecpriv.harness import desk_agent, desk_env, evaluate, train
-from mecpriv.nn import Adam, backward, clone_params, forward, init_params
+from mecpriv.harness.runner import slots
+from mecpriv.nn import (Adam, backward, clone_params, forward, forward_step,
+                        init_params, polyak_update)
 from mecpriv.nn.network import zeros_like_params
 
 from conftest import action_id
+from test_privacy import ReferenceWindow, reference_breakdown
 
 P = EnvParams()
 TINY_ENV = EnvParams(episode_len=40, window=8, privacy_weight=1.0)
@@ -405,6 +408,68 @@ class TestTraining:
             dqn_result.curve_rewards()[-50:].mean()
 
 
+def reference_train(kind, env, cfg, rng):
+    """The slot-by-slot trainer that chunked scoring replaced: each slot's
+    reward from a ReferenceWindow, stored, then an update every
+    update_every slots. Returns the curve and the final params."""
+    recurrent = kind == "drqn"
+    m = mdp(env)
+    spec = network_spec(env, cfg, recurrent)
+    actor = QPolicy(spec, init_params(spec, rng), env)
+    target = clone_params(actor.params)
+    opt = Adam(cfg.alpha)
+    replay = (EpisodeBuffer if recurrent else TransitionBuffer)(
+        cfg.buffer_capacity)
+    baseline = RewardBaseline(cfg.center_rewards, cfg.scale_rewards)
+    curve, grad_steps = [], 0
+    for ep in range(cfg.episodes):
+        actor.eps = epsilon_at(cfg, ep)
+        opt.lr = alpha_at(cfg, ep)
+        window = ReferenceWindow(env.window, env.d_max, env.t_max)
+        total = 0.0
+        for n, (s, a, s_next) in enumerate(slots(actor, env, rng)):
+            window.push((m.d[s], m.g[s], m.t[a]))
+            r = reward(float(m.cost[s, a]),
+                       reference_breakdown(window)["p_total"],
+                       env.privacy_weight)
+            replay.record(s, a, r, s_next)
+            baseline.add(r)
+            total += r
+            if n % cfg.update_every == 0 and \
+                    (batch := replay.sample_batch(cfg, env, rng)) is not None:
+                actor.params, _ = q_update(
+                    spec, actor.params, target, opt, batch, env, cfg,
+                    baseline.value, baseline.scale)
+                grad_steps += 1
+                if grad_steps % cfg.target_update_period == 0:
+                    target = polyak_update(target, actor.params, cfg.tau)
+        replay.end_episode()
+        curve.append((ep, total, actor.eps))
+    return curve, actor.params
+
+
+class TestChunkedTraining:
+    """train scores rewards a chunk of slots at a time; every float must be
+    that of the slot-by-slot loop."""
+
+    @pytest.mark.parametrize("update_every", [1, 3, 7])
+    @pytest.mark.parametrize("kind", ["dqn", "drqn"])
+    def test_bits_equal_slot_by_slot_reference(self, kind, update_every):
+        # 50 slots are a multiple of neither period, so the last chunk
+        # ends between updates at 3 and on an update at 7
+        env = EnvParams(episode_len=50, window=8, privacy_weight=1.0)
+        cfg = dataclasses.replace(TINY_DRQN if kind == "drqn" else TINY_DQN,
+                                  update_every=update_every,
+                                  center_rewards=True, scale_rewards=True)
+        result = train(kind, env, cfg, np.random.default_rng(21))
+        curve, params = reference_train(kind, env, cfg,
+                                        np.random.default_rng(21))
+        assert result.curve == curve
+        for got, want in zip(result.params, params):
+            assert {k: v.tobytes() for k, v in got.items()} == \
+                {k: v.tobytes() for k, v in want.items()}
+
+
 class TestGreedyActing:
     def test_policy_table_covers_state_space(self, dqn_lambda0_run):
         env, _, result = dqn_lambda0_run
@@ -434,6 +499,32 @@ class TestGreedyActing:
             pol.reset(rng)
             seqs.append([pol.act(s) for s in stream])
         assert seqs[0] == seqs[1]
+
+    @pytest.mark.parametrize("recurrent", [False, True])
+    def test_acting_follows_assigned_params(self, recurrent):
+        rng = np.random.default_rng(8)
+        cfg = TINY_DRQN if recurrent else TINY_DQN
+        spec = network_spec(P, cfg, recurrent)
+        old, new = init_params(spec, rng), init_params(spec, rng)
+        stream = [int(s) for s in rng.integers(0, P.n_states, size=20)]
+
+        def episode(policy):
+            policy.reset(None)
+            return [policy.act(s) for s in stream]
+
+        pol = QPolicy(spec, old, P)
+        before = episode(pol)
+        pol.params = new  # as the trainer assigns after an update
+        acts = episode(pol)
+        # the same episode stepped through forward_step with the new params
+        h, prev, want = None, -1, []
+        for s in stream:
+            x = encode(s, P, prev if recurrent else None)[None]
+            q, h = forward_step(spec, new, x, h)
+            prev = int(np.argmax(np.where(mdp(P).valid[s], q[0], -np.inf)))
+            want.append(prev)
+        assert acts == want != before
+        assert [v.tobytes() for v in pol._h] == [v.tobytes() for v in h]
 
     def test_policies_emit_only_valid_actions(self, dqn_lambda0_run):
         env, _, result = dqn_lambda0_run

@@ -1,4 +1,9 @@
 import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +39,34 @@ eval_episodes = 2
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def blas_env_after_import(**preset):
+    """The BLAS thread variables seen after `import mecpriv.cli` in a fresh
+    interpreter whose environment has only the preset ones."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import json, os, mecpriv.cli; "
+            f"print(json.dumps({{k: os.environ.get(k) for k in {BLAS_VARS!r}}}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return json.loads(out)
+
+
+class TestBlasThreads:
+    def test_unset_variables_pin_one_thread(self):
+        assert blas_env_after_import() == dict.fromkeys(BLAS_VARS, "1")
+
+    def test_user_setting_wins(self):
+        got = blas_env_after_import(OPENBLAS_NUM_THREADS="2")
+        assert got == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                       "MKL_NUM_THREADS": "1"}
 
 
 class TestExitCodes:
