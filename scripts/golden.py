@@ -47,8 +47,10 @@ def commands(ini3: str, ini6: str, ini_paper: str):
     for agent in ("greedy", "uniform"):
         yield f"attack-{agent}", ["attack", "--agent", agent, *desk,
                                   "--seed", "7", "--steps", "20000"]
+    # Seed 12 is the seed nearest 7 whose 500-slot fit trace lacks a volume
+    # that its evaluation trace has.
     yield "attack-theta0.5", ["attack", "--agent", "theta", "--theta", "0.5",
-                              *desk, "--seed", "7", "--steps", "500"]
+                              *desk, "--seed", "12", "--steps", "500"]
     yield "sweep-theta", ["sweep-theta", *desk, "--config", ini3]
     yield "sweep-lambda", ["sweep-lambda", *desk, "--config", ini3, "--jobs", "2"]
     for agent in ("dqn", "drqn"):

@@ -14,20 +14,20 @@ import numpy as np
 
 from ..env import EnvParams, mdp
 from ..nn import backward, forward, forward_step, gru_kernels, init_hidden
-from .common import (AgentConfig, encode, epsilon_greedy, loss_gradient,
-                     masked_max, obs_dim)
+from .common import (AgentConfig, encode, loss_gradient, masked_max,
+                     obs_dim)
 
 
 class QPolicy:
-    """Epsilon-greedy policy of a Q-net; greedy at eps 0, the default, which
-    is how trained nets are evaluated. A net on the observation encoding
-    also reads the previous action, and its hidden state threads across
-    an episode."""
+    """Greedy policy of a Q-net, acting on lanes; ties go to the lowest
+    action id. A net on the observation encoding also reads each lane's
+    previous action, and its hidden state threads across an episode."""
+
+    tabular = False
 
     def __init__(self, spec, params, env: EnvParams):
         self.spec = spec
         self.params = params
-        self.eps = 0.0
         self._reads_prev = spec.input_dim == obs_dim(env)
         self._valid = mdp(env).valid
         # Every input the net can see, encoded once: by state id, and by
@@ -39,7 +39,7 @@ class QPolicy:
             self._x = encode(s, env, prev)
         else:
             self._x = encode(s, env)
-        self.reset(None)
+        self.reset(1)
 
     @property
     def params(self):
@@ -52,17 +52,24 @@ class QPolicy:
         self._params = params
         self._kernels = gru_kernels(self.spec, params)
 
-    def reset(self, rng: np.random.Generator | None) -> None:
-        self._rng = rng
-        self._h = init_hidden(self.spec, 1)
-        self._prev = -1
+    def reset(self, lanes: int) -> None:
+        self._h = init_hidden(self.spec, lanes)
+        self.prev = np.full(lanes, -1)
 
-    def act(self, s: int) -> int:
-        x = self._x[s, self._prev + 1] if self._reads_prev else self._x[s]
-        q, self._h = forward_step(self.spec, self._params, x[None], self._h,
+    def values(self, s: np.ndarray) -> np.ndarray:
+        """Step the net on each lane's state id; (lanes, n_actions) Q
+        values. prev, each lane's previous action id (-1 at an episode
+        start), is set by act, or by a trainer that explores."""
+        x = self._x[s, self.prev + 1] if self._reads_prev else self._x[s]
+        q, self._h = forward_step(self.spec, self._params, x, self._h,
                                   self._kernels)
-        self._prev = epsilon_greedy(q[0], self._valid[s], self.eps, self._rng)
-        return self._prev
+        return q
+
+    def act(self, s, coin=None, pick=None) -> np.ndarray:
+        """Each lane's best valid action; the uniforms go unused."""
+        self.prev = np.where(self._valid[s], self.values(s),
+                             -np.inf).argmax(axis=1)
+        return self.prev
 
 
 def q_update(spec, params, target_params, opt, batch, env: EnvParams,

@@ -9,35 +9,39 @@ from .env import EnvParams, mdp
 
 
 class Policy(Protocol):
-    """The episode runner's policy interface: state id in, action id out."""
+    """The episode engine's policy, acting on lanes: state ids and each
+    slot's two uniforms in, action ids of their shape out. A tabular
+    policy's action depends on those alone, so the engine asks it for all
+    slots at once; any other also has reset(lanes), which the engine calls
+    before asking it once per slot."""
 
-    def reset(self, rng: np.random.Generator) -> None: ...
+    tabular: bool
 
-    def act(self, s: int) -> int: ...
+    def act(self, s, coin, pick) -> np.ndarray: ...
 
 
 class ThetaPrivatePolicy:
-    """Cost-greedy policy randomized uniformly with probability theta; at
-    theta 0 it draws no random number."""
+    """Cost-greedy policy randomized uniformly with probability theta: where
+    the slot's coin falls below theta it plays the valid action that the
+    pick selects, the floor(pick * n)-th of the state's n valid ids."""
+
+    tabular = True
 
     def __init__(self, env: EnvParams, theta: float):
         if not 0.0 <= theta <= 1.0:
             raise ValueError("theta must be in [0, 1]")
-        self.env = env
         self.theta = theta
         m = mdp(env)
         self._greedy = m.greedy
-        self._valid_ids = m.valid_ids
-        self._rng: np.random.Generator | None = None
+        # Row s starts with the valid ids of s, ascending.
+        self._ranked = np.argsort(~m.valid, axis=1, kind="stable")
+        self._n_valid = m.valid.sum(axis=1)
 
-    def reset(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-
-    def act(self, s: int) -> int:
-        if self.theta > 0.0 and self._rng.random() < self.theta:
-            options = self._valid_ids[s]
-            return int(options[self._rng.integers(0, len(options))])
-        return int(self._greedy[s])
+    def act(self, s, coin, pick) -> np.ndarray:
+        if self.theta == 0.0:
+            return self._greedy[s]
+        choice = self._ranked[s, (pick * self._n_valid[s]).astype(np.intp)]
+        return np.where(coin < self.theta, choice, self._greedy[s])
 
 
 class GreedyPolicy(ThetaPrivatePolicy):

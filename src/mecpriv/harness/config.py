@@ -93,22 +93,13 @@ def desk_agent(kind: str = "drqn", **overrides) -> AgentConfig:
     exploration decay, a short replay, a target net that keeps 0.99 of
     itself at each soft update, and reward centering; the sampled window
     is longer than the entropy window so the recurrent state sees a full
-    window before the loss segment.
-
-    The recurrent learner (kind "drqn") trains on the Huber TD loss with
-    rewards divided by their running standard deviation, and decays its
-    learning rate by 0.99 per episode (2e-3 down to 1e-4, the paper
-    preset's rate, by the last episode). With the MSE loss and a constant
-    rate it under-optimised its own reward: at lambda 10 on training seeds
-    303, 1, 2 and 3 the evaluated reward per step went from
-    35.34/35.69/34.70/35.32 to 36.62/35.99/35.88/35.93, and the H(D,T)
-    gain over greedy from 0.950/0.990/0.863/0.937 to 1.080/1.002/0.992/1.008.
-    The Huber loss alone gave 1.053/1.043/1.019/0.963: the same mean gain,
-    but wider across seeds and with a learning curve that stalls mid-run.
-    The unit reward scale gives the Huber threshold of 1 the same meaning
-    at every privacy weight; the decay lets the policy settle late in the
-    run instead of drifting.
-    The desk DQN keeps the MSE loss, unscaled rewards and a fixed rate.
+    window before the loss segment. The recurrent learner (kind "drqn")
+    also trains on the Huber TD loss with rewards divided by their running
+    standard deviation, which gives the threshold of 1 one meaning at every
+    privacy weight, and decays its learning rate by 0.99 per episode (2e-3
+    down to the paper preset's 1e-4) so the policy settles late in the run.
+    CHANGES.md has the seeds and figures behind that choice. The desk DQN
+    keeps the MSE loss, unscaled rewards and a fixed rate.
     """
     base = dict(
         episodes=300,

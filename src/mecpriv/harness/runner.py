@@ -1,52 +1,18 @@
-"""The slot loop, and the episode runs, metrics and training built on it."""
+"""The episode engine, the runs and metrics built on it, and training."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 import numpy as np
 
 from ..agents import (AgentConfig, EpisodeBuffer, QPolicy, TrainResult,
                       TransitionBuffer, epsilon_at, network_spec, q_update)
-from ..agents.common import RewardBaseline, alpha_at
+from ..agents.common import RewardBaseline, alpha_at, epsilon_greedy
 from ..baselines import Policy
-from ..env import EnvParams, mdp, reward, sample_initial_state, step
+from ..env import (EnvParams, mdp, reward, sample_initial_state, state_id,
+                   step)
 from ..nn import Adam, clone_params, init_params, polyak_update
 from ..privacy import privacy_breakdown
-
-
-@dataclass
-class EpisodeLog:
-    """Per-step arrays for one episode, plus task accounting totals."""
-
-    d: np.ndarray
-    b: np.ndarray
-    g: np.ndarray
-    q: np.ndarray
-    t: np.ndarray
-    l: np.ndarray
-    latency: np.ndarray
-    energy: np.ndarray
-    cost: np.ndarray
-    h_dt: np.ndarray
-    h_gt: np.ndarray
-    p_total: np.ndarray
-    heuristic: np.ndarray
-    reward: np.ndarray
-    buffer_final: int
-
-
-@dataclass(frozen=True)
-class EpisodeMetrics:
-    avg_cost_per_task: float
-    avg_delay_per_task: float
-    avg_energy_per_task: float
-    h_dt: float
-    h_gt: float
-    heuristic: float
-    avg_reward_per_step: float
-    tasks_handled: int
-    tasks_generated: int
-    buffer_final: int
 
 
 METRIC_FIELDS = ("avg_cost_per_task", "avg_delay_per_task",
@@ -54,43 +20,83 @@ METRIC_FIELDS = ("avg_cost_per_task", "avg_delay_per_task",
                  "avg_reward_per_step")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Aggregated evaluation row: means and stds across episodes."""
-
-    label: str
-    avg_cost_per_task: float
-    avg_delay_per_task: float
-    avg_energy_per_task: float
-    h_dt: float
-    h_gt: float
-    heuristic: float
-    avg_reward_per_step: float
-    avg_cost_per_task_std: float
-    avg_delay_per_task_std: float
-    avg_energy_per_task_std: float
-    h_dt_std: float
-    h_gt_std: float
-    heuristic_std: float
-    avg_reward_per_step_std: float
-    episodes: int
+def _record(name: str, fields, doc: str):
+    """A frozen dataclass of the named fields, picklable from here."""
+    return make_dataclass(name, fields, frozen=True,
+                          namespace={"__module__": __name__, "__doc__": doc})
 
 
-def slots(policy: Policy, env: EnvParams, rng: np.random.Generator):
-    """Play one episode; yields (state, action, next state) ids slot by
-    slot.
+EpisodeMetrics = _record(
+    "EpisodeMetrics",
+    [*METRIC_FIELDS, "tasks_handled", "tasks_generated", "buffer_final"],
+    "One episode's metrics and task accounting.")
+EpisodeLog = _record(
+    "EpisodeLog",
+    ["d", "b", "g", "q", "t", "l", "latency", "energy", "cost", "h_dt",
+     "h_gt", "p_total", "heuristic", "reward", "buffer_final"],
+    "Per-slot arrays of one episode, and its final buffer.")
+RunRecord = _record(
+    "RunRecord",
+    ["label", *METRIC_FIELDS, *(f"{f}_std" for f in METRIC_FIELDS),
+     "episodes"],
+    "Aggregated evaluation row: means and stds across episodes.")
 
-    Every rollout, evaluation and training episode runs through here, so
-    all of them draw from rng in one order: the policy's reset, the
-    initial state, then per slot the policy's act and the step.
+
+# Most episodes in one block of lanes; bounds the memory a block takes.
+LANES = 32
+
+
+def draw(rng: np.random.Generator, episodes: int, env: EnvParams):
+    """The randomness of episodes played from one stream, as (episodes, L)
+    arrays d, g, coin, pick. The exogenous draws come first: each
+    episode's initial demand and channel, every later slot's demand, a
+    channel-stay uniform per slot. Then the policy's: a coin per slot, a
+    pick per slot. So every policy meets the same demand and channel."""
+    n, L = episodes, env.episode_len
+    first = rng.integers(0, (env.d_max + 1, 2), size=(n, 2))
+    d = rng.integers(0, env.d_max + 1, size=(n, L - 1))
+    flips = np.cumsum(rng.random((n, L - 1)) >= env.p_channel_stay, axis=1)
+    coin, pick = rng.random((2, n, L))
+    d = np.concatenate((first[:, :1], d), axis=1)
+    g = np.concatenate((first[:, 1:], (first[:, 1:] + flips) % 2), axis=1)
+    return d, g, coin, pick
+
+
+def play(policy: Policy, env: EnvParams, d, g, coin, pick):
+    """Play one block of pre-drawn episodes in lockstep as lanes, on draw's
+    arrays; returns the (episodes, L) state and action ids.
+
+    Only the buffer depends on the actions: b[0] = 0, b[t + 1] = q[a[t]].
     """
-    policy.reset(rng)
-    s = sample_initial_state(rng, env)
-    for _ in range(env.episode_len):
-        a = policy.act(s)
-        s_next = step(s, a, rng, env)
-        yield s, a, s_next
-        s = s_next
+    n, L = d.shape
+    if n == 1 and not policy.tabular:
+        # A one-row matmul takes BLAS's matrix-vector path, whose last
+        # bits differ from those of the same row in a batch; a twin lane
+        # keeps a lane's Q values independent of the lanes beside it.
+        s, a = play(policy, env, *(np.repeat(x, 2, axis=0)
+                                   for x in (d, g, coin, pick)))
+        return s[:1], a[:1]
+    q = mdp(env).q
+    b = np.zeros((n, L + 1), dtype=np.intp)
+    lanes = np.arange(n)
+    if policy.tabular:
+        # Each slot's action at every buffer level; the chain then follows
+        # the level the lane holds.
+        every = policy.act(state_id(d[..., None], np.arange(env.b_max + 1),
+                                    g[..., None], env),
+                           coin[..., None], pick[..., None])
+        b_next = q[every]
+        for t in range(L):
+            b[:, t + 1] = b_next[lanes, t, b[:, t]]
+        a = every[lanes[:, None], np.arange(L), b[:, :L]]
+    else:
+        a = np.empty((n, L), dtype=np.intp)
+        policy.reset(n)
+        for t in range(L):
+            a[:, t] = policy.act(state_id(d[:, t], b[:, t], g[:, t], env),
+                                 coin[:, t], pick[:, t])
+            b[:, t + 1] = q[a[:, t]]
+    return state_id(d, b[:, :L], g, env), a
 
 
 def scored(s: np.ndarray, a: np.ndarray, env: EnvParams, start: int = 0):
@@ -103,18 +109,32 @@ def scored(s: np.ndarray, a: np.ndarray, env: EnvParams, start: int = 0):
                       env.privacy_weight)
 
 
-def run_episode(policy: Policy, env: EnvParams,
-                rng: np.random.Generator) -> EpisodeLog:
-    """Roll one episode, then score and log every slot."""
+def episode_log(s: np.ndarray, a: np.ndarray, env: EnvParams) -> EpisodeLog:
+    """Score and log every slot of one played episode."""
     m = mdp(env)
-    s, a, s_next = np.array(list(slots(policy, env, rng))).T
     br, r = scored(s, a, env)
     return EpisodeLog(d=m.d[s], b=m.b[s], g=m.g[s], q=m.q[a], t=m.t[a],
                       l=m.l[s, a].astype(np.int64), latency=m.latency[s, a],
                       energy=m.energy[s, a], cost=m.cost[s, a],
                       heuristic=m.heuristic[s, a], h_dt=br.h_dt, h_gt=br.h_gt,
                       p_total=br.p_total, reward=r,
-                      buffer_final=int(m.b[s_next[-1]]))
+                      buffer_final=int(m.q[a[-1]]))
+
+
+def run_episodes(policy: Policy, env: EnvParams, streams) -> list[EpisodeLog]:
+    """The logs of one episode from each stream, LANES played at a time."""
+    logs = []
+    for lo in range(0, len(streams), LANES):
+        drawn = [draw(rng, 1, env) for rng in streams[lo:lo + LANES]]
+        s, a = play(policy, env, *map(np.concatenate, zip(*drawn)))
+        logs += [episode_log(s_k, a_k, env) for s_k, a_k in zip(s, a)]
+    return logs
+
+
+def run_episode(policy: Policy, env: EnvParams,
+                rng: np.random.Generator) -> EpisodeLog:
+    """The one episode of rng's stream."""
+    return run_episodes(policy, env, [rng])[0]
 
 
 def episode_metrics(log: EpisodeLog) -> EpisodeMetrics:
@@ -122,17 +142,10 @@ def episode_metrics(log: EpisodeLog) -> EpisodeMetrics:
     tasks = int(log.l.sum() + log.t.sum())
     denom = float(tasks) if tasks > 0 else float("nan")
     return EpisodeMetrics(
-        avg_cost_per_task=float(log.cost.sum() / denom),
-        avg_delay_per_task=float(log.latency.sum() / denom),
-        avg_energy_per_task=float(log.energy.sum() / denom),
-        h_dt=float(log.h_dt.mean()),
-        h_gt=float(log.h_gt.mean()),
-        heuristic=float(log.heuristic.mean()),
-        avg_reward_per_step=float(log.reward.mean()),
-        tasks_handled=tasks,
-        tasks_generated=int(log.d.sum()),
-        buffer_final=log.buffer_final,
-    )
+        *(float(x.sum() / denom) for x in (log.cost, log.latency, log.energy)),
+        *(float(x.mean()) for x in (log.h_dt, log.h_gt, log.heuristic,
+                                    log.reward)),
+        tasks, int(log.d.sum()), log.buffer_final)
 
 
 def episode_rng(seed: int, episode: int) -> np.random.Generator:
@@ -145,27 +158,25 @@ def evaluate(policy: Policy, env: EnvParams, episodes: int,
     """Average episode metrics over fresh episodes for every seed."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    rows = [episode_metrics(run_episode(policy, env, episode_rng(seed, ep)))
-            for seed in seeds for ep in range(episodes)]
-    values = {name: np.array([getattr(r, name) for r in rows])
-              for name in METRIC_FIELDS}
-    kwargs = {name: float(arr.mean()) for name, arr in values.items()}
-    kwargs.update({f"{name}_std": float(arr.std()) for name, arr in values.items()})
-    return RunRecord(label=label, episodes=len(rows), **kwargs)
+    rows = [episode_metrics(log) for log in run_episodes(policy, env, [
+        episode_rng(seed, ep) for seed in seeds for ep in range(episodes)])]
+    values = [np.array([getattr(r, name) for r in rows])
+              for name in METRIC_FIELDS]
+    return RunRecord(label, *(float(v.mean()) for v in values),
+                     *(float(v.std()) for v in values), len(rows))
 
 
 def rollout_trace(policy: Policy, env: EnvParams, rng: np.random.Generator,
                   n_steps: int) -> np.ndarray:
-    """Collect (d, g, t) rows over as many fresh episodes as needed."""
-    s, a = (np.empty(n_steps, dtype=np.int64) for _ in range(2))
-    i = 0
-    while i < n_steps:
-        for s[i], a[i], _ in slots(policy, env, rng):
-            i += 1
-            if i == n_steps:
-                break
-    m = mdp(env)
-    return np.stack([m.d[s], m.g[s], m.t[a]], axis=1)
+    """Collect (d, g, t) rows over as many fresh episodes as needed, drawn
+    from rng's one stream LANES episodes at a time."""
+    trace = np.empty((-(-n_steps // env.episode_len), env.episode_len, 3),
+                     dtype=np.int64)
+    for lo in range(0, len(trace), LANES):
+        d, g, coin, pick = draw(rng, min(LANES, len(trace) - lo), env)
+        _, a = play(policy, env, d, g, coin, pick)
+        trace[lo:lo + LANES] = np.stack([d, g, mdp(env).t[a]], axis=-1)
+    return trace.reshape(-1, 3)[:n_steps]
 
 
 def train(kind: str, env: EnvParams, cfg: AgentConfig,
@@ -196,13 +207,20 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
     grad_steps = 0
     states = np.empty(env.episode_len + 1, dtype=np.int64)
     actions = np.empty(env.episode_len, dtype=np.int64)
+    valid = mdp(env).valid
     for ep in range(cfg.episodes):
-        actor.eps = epsilon_at(cfg, ep)
+        eps = epsilon_at(cfg, ep)
         opt.lr = alpha_at(cfg, ep)
         total = 0.0
         scored_to = 0
-        for n, (states[n], actions[n], states[n + 1]) in enumerate(
-                slots(actor, env, rng)):
+        actor.reset(1)
+        states[0] = sample_initial_state(rng, env)
+        for n in range(env.episode_len):
+            # Per slot, the act's draws and then the step's.
+            q = actor.values(states[n:n + 1])[0]
+            actor.prev[0] = actions[n] = epsilon_greedy(
+                q, valid[states[n]], eps, rng)
+            states[n + 1] = step(states[n], actions[n], rng, env)
             update = n % cfg.update_every == 0
             if not update and n + 1 < env.episode_len:
                 continue
@@ -226,6 +244,6 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
                 if grad_steps % cfg.target_update_period == 0:
                     target = polyak_update(target, actor.params, cfg.tau)
         replay.end_episode()
-        curve.append((ep, total, actor.eps))
+        curve.append((ep, total, eps))
     return TrainResult(label=label or kind, spec=spec, params=actor.params,
                        curve=curve)

@@ -4,9 +4,14 @@ Training is the expensive part of the suite; the acceptance tests and the
 agent behavior tests all read from these fixtures. Seeds are fixed so the
 whole suite is reproducible run to run. Every test that requests one of
 the training fixtures (the *_run fixtures) is marked slow, so
-`pytest -m "not slow"` skips the training.
+`pytest -m "not slow"` skips the training. At the first use of one, every
+run that the selected tests request is started in worker processes, two
+at a time, in the order the tests first need them.
 """
 import dataclasses
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +19,6 @@ import pytest
 
 from mecpriv.harness import desk_agent, desk_env, train
 
-TRAIN_SEEDS = {"dqn0": 101, "dqn10": 202, "drqn10": 303, "drqn2": 404,
-               "drqn20": 505}
 EVAL_SEEDS = (1, 2, 3)
 EVAL_EPISODES = 20
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,11 +29,36 @@ def action_id(q: int, t: int, p) -> int:
     return q * (p.t_max + 1) + t
 
 
-def _train(kind: str, lam: float, seed: int):
-    env = dataclasses.replace(desk_env(), privacy_weight=lam)
-    cfg = desk_agent(kind)
-    return env, cfg, train(kind, env, cfg, np.random.default_rng(seed),
-                           label=f"{kind} lambda={lam:g}")
+# The training fixtures: (learner, privacy weight, training seed).
+RUNS = {"dqn_lambda0_run": ("dqn", 0.0, 101),
+        "dqn_lambda10_run": ("dqn", 10.0, 202),
+        "drqn_lambda10_run": ("drqn", 10.0, 303),
+        "drqn_lambda2_run": ("drqn", 2.0, 404),
+        "drqn_lambda20_run": ("drqn", 20.0, 505)}
+_started: dict = {}
+
+
+def _trained(request):
+    """(env, agent config, TrainResult) of the requesting fixture. The
+    first call starts every run that the selected tests request; spawned
+    workers import mecpriv afresh, so their BLAS runs one thread."""
+    if not _started:
+        wanted = dict.fromkeys(name for item in request.session.items
+                               for name in getattr(item, "fixturenames", ())
+                               if name in RUNS)
+        pool = ProcessPoolExecutor(
+            max_workers=min(2, os.cpu_count() or 1),
+            mp_context=multiprocessing.get_context("spawn"))
+        for name in wanted:
+            kind, lam, seed = RUNS[name]
+            env = dataclasses.replace(desk_env(), privacy_weight=lam)
+            cfg = desk_agent(kind)
+            _started[name] = env, cfg, pool.submit(
+                train, kind, env, cfg, np.random.default_rng(seed),
+                f"{kind} lambda={lam:g}")
+        pool.shutdown(wait=False)
+    env, cfg, run = _started[request.fixturename]
+    return env, cfg, run.result()
 
 
 @pytest.fixture
@@ -50,25 +78,25 @@ def pytest_collection_modifyitems(config, items):
 
 
 @pytest.fixture(scope="session")
-def dqn_lambda0_run():
-    return _train("dqn", 0.0, TRAIN_SEEDS["dqn0"])
+def dqn_lambda0_run(request):
+    return _trained(request)
 
 
 @pytest.fixture(scope="session")
-def dqn_lambda10_run():
-    return _train("dqn", 10.0, TRAIN_SEEDS["dqn10"])
+def dqn_lambda10_run(request):
+    return _trained(request)
 
 
 @pytest.fixture(scope="session")
-def drqn_lambda10_run():
-    return _train("drqn", 10.0, TRAIN_SEEDS["drqn10"])
+def drqn_lambda10_run(request):
+    return _trained(request)
 
 
 @pytest.fixture(scope="session")
-def drqn_lambda2_run():
-    return _train("drqn", 2.0, TRAIN_SEEDS["drqn2"])
+def drqn_lambda2_run(request):
+    return _trained(request)
 
 
 @pytest.fixture(scope="session")
-def drqn_lambda20_run():
-    return _train("drqn", 20.0, TRAIN_SEEDS["drqn20"])
+def drqn_lambda20_run(request):
+    return _trained(request)

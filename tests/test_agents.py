@@ -9,9 +9,9 @@ from mecpriv.agents import (AgentConfig, EpisodeBuffer, EpisodeTrace, QPolicy,
                             state_dim)
 from mecpriv.agents.common import RewardBaseline, alpha_at, loss_gradient
 from mecpriv.baselines import GreedyPolicy
-from mecpriv.env import EnvParams, mdp, reward, state_id
+from mecpriv.env import (EnvParams, mdp, reward, sample_initial_state,
+                         state_id, step)
 from mecpriv.harness import desk_agent, desk_env, evaluate, train
-from mecpriv.harness.runner import slots
 from mecpriv.nn import (Adam, backward, clone_params, forward, forward_step,
                         init_params, polyak_update)
 from mecpriv.nn.network import zeros_like_params
@@ -408,6 +408,19 @@ class TestTraining:
             dqn_result.curve_rewards()[-50:].mean()
 
 
+def epsilon_greedy_slots(actor, eps, env, rng):
+    """The trainer's slot order: the initial state, then per slot the
+    act's draws and the step's; yields (state, action, next state)."""
+    actor.reset(1)
+    s = sample_initial_state(rng, env)
+    for _ in range(env.episode_len):
+        q = actor.values(np.array([s]))[0]
+        a = actor.prev[0] = epsilon_greedy(q, mdp(env).valid[s], eps, rng)
+        s_next = step(s, a, rng, env)
+        yield s, a, s_next
+        s = s_next
+
+
 def reference_train(kind, env, cfg, rng):
     """The slot-by-slot trainer that chunked scoring replaced: each slot's
     reward from a ReferenceWindow, stored, then an update every
@@ -423,11 +436,12 @@ def reference_train(kind, env, cfg, rng):
     baseline = RewardBaseline(cfg.center_rewards, cfg.scale_rewards)
     curve, grad_steps = [], 0
     for ep in range(cfg.episodes):
-        actor.eps = epsilon_at(cfg, ep)
+        eps = epsilon_at(cfg, ep)
         opt.lr = alpha_at(cfg, ep)
         window = ReferenceWindow(env.window, env.d_max, env.t_max)
         total = 0.0
-        for n, (s, a, s_next) in enumerate(slots(actor, env, rng)):
+        for n, (s, a, s_next) in enumerate(
+                epsilon_greedy_slots(actor, eps, env, rng)):
             window.push((m.d[s], m.g[s], m.t[a]))
             r = reward(float(m.cost[s, a]),
                        reference_breakdown(window)["p_total"],
@@ -444,7 +458,7 @@ def reference_train(kind, env, cfg, rng):
                 if grad_steps % cfg.target_update_period == 0:
                     target = polyak_update(target, actor.params, cfg.tau)
         replay.end_episode()
-        curve.append((ep, total, actor.eps))
+        curve.append((ep, total, eps))
     return curve, actor.params
 
 
@@ -474,18 +488,20 @@ class TestGreedyActing:
     def test_policy_table_covers_state_space(self, dqn_lambda0_run):
         env, _, result = dqn_lambda0_run
         pol = QPolicy(result.spec, result.params, env)
-        table = {s: pol.act(s) for s in range(env.n_states)}
-        assert len(table) == 48
-        for s, a in table.items():
+        pol.reset(env.n_states)
+        table = pol.act(np.arange(env.n_states))
+        assert table.shape == (48,)
+        for s, a in enumerate(table):
             assert mdp(env).valid[s, a]
 
     def test_equal_q_values_pick_lowest_valid(self):
         spec = network_spec(P, TINY_DRQN, True)
         params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
         pol = QPolicy(spec, params, P)
-        pol.reset(np.random.default_rng(0))
-        for d, b, g in ((3, 2, 1), (0, 0, 0), (1, 5, 0)):
-            assert pol.act(state_id(d, b, g, P)) == action_id(0, 0, P)
+        pol.reset(3)
+        s = state_id(np.array([3, 0, 1]), np.array([2, 0, 5]),
+                     np.array([1, 0, 0]), P)
+        assert list(pol.act(s)) == [action_id(0, 0, P)] * 3
 
     def test_recurrent_policy_deterministic_stream(self):
         rng = np.random.default_rng(4)
@@ -496,8 +512,8 @@ class TestGreedyActing:
         pol = QPolicy(spec, params, P)
         seqs = []
         for _ in range(2):
-            pol.reset(rng)
-            seqs.append([pol.act(s) for s in stream])
+            pol.reset(1)
+            seqs.append([int(pol.act(np.array([s]))[0]) for s in stream])
         assert seqs[0] == seqs[1]
 
     @pytest.mark.parametrize("recurrent", [False, True])
@@ -509,8 +525,8 @@ class TestGreedyActing:
         stream = [int(s) for s in rng.integers(0, P.n_states, size=20)]
 
         def episode(policy):
-            policy.reset(None)
-            return [policy.act(s) for s in stream]
+            policy.reset(1)
+            return [int(policy.act(np.array([s]))[0]) for s in stream]
 
         pol = QPolicy(spec, old, P)
         before = episode(pol)
@@ -529,5 +545,6 @@ class TestGreedyActing:
     def test_policies_emit_only_valid_actions(self, dqn_lambda0_run):
         env, _, result = dqn_lambda0_run
         pol = QPolicy(result.spec, result.params, env)
-        for s in range(env.n_states):
-            assert mdp(env).valid[s, pol.act(s)]
+        pol.reset(env.n_states)
+        acts = pol.act(np.arange(env.n_states))
+        assert mdp(env).valid[np.arange(env.n_states), acts].all()

@@ -43,16 +43,17 @@ class TestGreedy:
 
     def test_policy_wrapper_matches_function(self):
         pol = GreedyPolicy(P)
-        pol.reset(np.random.default_rng(0))
         assert pol.theta == 0.0
-        for s in range(P.n_states):
-            assert pol.act(s) == M.greedy[s]
+        coin, pick = np.random.default_rng(0).random((2, P.n_states))
+        s = np.arange(P.n_states)
+        assert np.array_equal(pol.act(s, coin, pick), M.greedy)
 
 
-def theta_policy(theta, seed):
-    pol = ThetaPrivatePolicy(P, theta)
-    pol.reset(np.random.default_rng(seed))
-    return pol
+def theta_acts(theta, s, n, seed):
+    """n actions of ThetaPrivatePolicy(P, theta) in state s, on n fresh
+    pairs of uniforms."""
+    coin, pick = np.random.default_rng(seed).random((2, n))
+    return ThetaPrivatePolicy(P, theta).act(np.full(n, s), coin, pick)
 
 
 class TestThetaPrivate:
@@ -63,49 +64,60 @@ class TestThetaPrivate:
             ThetaPrivatePolicy(P, -0.1)
 
     def test_theta_zero_is_greedy_everywhere(self):
-        pol = theta_policy(0.0, 1)
         for s in range(P.n_states):
-            for _ in range(5):
-                assert pol.act(s) == M.greedy[s]
+            assert (theta_acts(0.0, s, 5, 1) == M.greedy[s]).all()
 
     @pytest.mark.parametrize("policy", [GreedyPolicy(P),
                                         ThetaPrivatePolicy(P, 0.0)],
                              ids=["greedy", "theta0"])
-    def test_theta_zero_draws_nothing(self, policy):
-        rng = np.random.default_rng(1)
-        before = rng.bit_generator.state
-        policy.reset(rng)
+    def test_theta_zero_ignores_its_uniforms(self, policy):
+        s = np.repeat(np.arange(P.n_states), 3)
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            assert np.array_equal(policy.act(s, np.full(len(s), u),
+                                             np.full(len(s), u)),
+                                  M.greedy[s])
+
+    def test_pick_selects_by_quantile(self):
+        # a coin under theta plays the floor(pick * n)-th valid action
+        pol = UniformPolicy(P)
         for s in range(P.n_states):
-            policy.act(s)
-        assert rng.bit_generator.state == before
+            options = M.valid_ids[s]
+            n = len(options)
+            pick = np.array([(k + 0.5) / n for k in range(n)] + [
+                np.nextafter(1.0, 0.0)])
+            got = pol.act(np.full(n + 1, s), np.zeros(n + 1), pick)
+            assert list(got) == list(options) + [options[-1]]
+
+    def test_coin_at_theta_plays_greedy(self):
+        pol = ThetaPrivatePolicy(P, 0.5)
+        s = state_id(2, 0, 1, P)
+        assert pol.act(np.array([s]), np.array([0.5]),
+                       np.array([0.0]))[0] == M.greedy[s]
+        assert pol.act(np.array([s]), np.array([np.nextafter(0.5, 0.0)]),
+                       np.array([0.0]))[0] == M.valid_ids[s][0]
 
     def test_theta_one_uniform_over_valid(self):
-        pol = theta_policy(1.0, 2)
         s = state_id(2, 0, 1, P)
         options = M.valid_ids[s]
-        counts = {int(a): 0 for a in options}
         n = 100_000
-        for _ in range(n):
-            counts[pol.act(s)] += 1
+        acts = theta_acts(1.0, s, n, 2)
         for a in options:
-            assert abs(counts[a] / n - 1 / len(options)) < 0.01
+            assert abs((acts == a).mean() - 1 / len(options)) < 0.01
+        assert np.isin(acts, options).all()
 
     def test_theta_half_mixture_frequency(self):
-        pol = theta_policy(0.5, 3)
         s = state_id(2, 0, 1, P)
         greedy = M.greedy[s]
         n_valid = len(M.valid_ids[s])
         assert n_valid == 6
         n = 100_000
-        hits = sum(pol.act(s) == greedy for _ in range(n))
+        hits = (theta_acts(0.5, s, n, 3) == greedy).sum()
         expected = 0.5 + 0.5 / n_valid
         assert abs(hits / n - expected) < 0.01
 
     def test_wrapper_only_emits_valid_actions(self):
-        pol = theta_policy(0.7, 4)
         for s in range(P.n_states):
-            for _ in range(20):
-                assert M.valid[s, pol.act(s)]
+            assert M.valid[s, theta_acts(0.7, s, 20, 4)].all()
 
     def test_uniform_policy_is_theta_one(self):
         pol = UniformPolicy(P)
