@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..env import EnvParams, mdp
+from ..env import EnvParams, check_finite, mdp
 from ..nn import Dense, GRU, NetworkSpec, Params
 
 LOSSES = ("mse", "huber")
@@ -38,6 +38,7 @@ class AgentConfig:
     scale_rewards: bool = False
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
         if self.alpha <= 0:

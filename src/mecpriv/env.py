@@ -9,10 +9,18 @@ parallel, plus a queuing penalty per buffered task) against energy spent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+
+def check_finite(config) -> None:
+    """Reject nan and inf in config's float fields; nan passes x < 0."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,7 @@ class EnvParams:
     episode_len: int = 1200
 
     def __post_init__(self):
+        check_finite(self)
         if self.d_max < 0 or self.b_max < 0:
             raise ValueError("d_max and b_max must be >= 0")
         for name in ("task_size_kb", "tx_rate_kbps", "cpu_freq_hz",
@@ -109,8 +118,9 @@ class InvalidActionError(ValueError):
 
 
 def state_id(d, b, g, p: EnvParams):
-    """Flat index of a state; accepts scalars or arrays."""
-    return (d * (p.b_max + 1) + b) * 2 + g
+    """Flat index of a state; accepts scalars or arrays. b comes last, so
+    a grid of buffer levels over arrays of d and g makes one big array."""
+    return d * (2 * (p.b_max + 1)) + g + 2 * b
 
 
 @lru_cache(maxsize=None)

@@ -66,10 +66,10 @@ class RunConfig:
                 self.agent.batch_size > self.agent.buffer_capacity:
             raise ConfigError("a dqn policy needs batch_size <= "
                               "buffer_capacity")
-        if any(th < 0 or th > 1 for th in self.theta_grid):
+        if not all(0 <= th <= 1 for th in self.theta_grid):
             raise ConfigError("theta values must be in [0, 1]")
-        if any(lam < 0 for lam in self.lambda_grid):
-            raise ConfigError("lambda values must be >= 0")
+        if not all(0 <= lam < float("inf") for lam in self.lambda_grid):
+            raise ConfigError("lambda values must be finite and >= 0")
         # A sweep cell seeds its training by int(lambda * 1000) and names
         # its files by f"{lambda:g}"; cells sharing either would coincide.
         for key in (lambda lam: int(lam * 1000), lambda lam: f"{lam:g}"):

@@ -1,6 +1,7 @@
 """The episode engine, the runs and metrics built on it, and training."""
 from __future__ import annotations
 
+import math
 from dataclasses import make_dataclass
 
 import numpy as np
@@ -62,6 +63,38 @@ def draw(rng: np.random.Generator, episodes: int, env: EnvParams):
     return d, g, coin, pick
 
 
+def buffer_levels(b_next: np.ndarray) -> np.ndarray:
+    """The (n, L) levels of n lanes after each slot, from level 0, where
+    b_next[x, k, t] is lane k's level after slot t from level x. A scan in
+    runs of c = ceil(sqrt(L)) slots, the first led by identity maps: c - 1
+    gathers compose each run's map, one per run chains the runs, c walk
+    each run. Map entries are flat indices, level * n * T + padded slot."""
+    width, n, L = b_next.shape
+    c = math.isqrt(L - 1) + 1
+    runs = -(-L // c)
+    T, N = runs * c, n * runs
+    pad = np.broadcast_to(np.arange(width)[:, None, None], (width, n, T - L))
+    step = np.concatenate((pad, b_next), axis=2, casting="unsafe",
+                          dtype=np.min_scalar_type(width * n * T))
+    step = step.reshape(width, n * T)
+    step *= n * T
+    step += np.arange(n * T, dtype=step.dtype)
+    follow = step.ravel()[1:]  # the next slot's map, at an entry's level
+    whole = step.reshape(width, N, c)[:, :, 0]
+    for _ in range(c - 1):
+        whole = follow[whole]
+    hop = (whole // (n * T) * N + np.arange(1, N + 1)).ravel()
+    entry = [np.arange(0, N, runs)]
+    for _ in range(runs - 1):
+        entry.append(hop[entry[-1]])
+    walk = [np.take(step, np.stack(entry, axis=1).ravel() // N * (n * T)
+                    + np.arange(0, n * T, c))]
+    for _ in range(c - 1):
+        walk.append(follow[walk[-1]])
+    after = (np.stack(walk) // (n * T)).reshape(c, n, runs).transpose(1, 2, 0)
+    return after.reshape(n, T)[:, T - L:]
+
+
 def play(policy: Policy, env: EnvParams, d, g, coin, pick):
     """Play one block of pre-drawn episodes in lockstep as lanes, on draw's
     arrays; returns the (episodes, L) state and action ids.
@@ -78,17 +111,12 @@ def play(policy: Policy, env: EnvParams, d, g, coin, pick):
         return s[:1], a[:1]
     q = mdp(env).q
     b = np.zeros((n, L + 1), dtype=np.intp)
-    lanes = np.arange(n)
     if policy.tabular:
-        # Each slot's action at every buffer level; the chain then follows
-        # the level the lane holds.
-        every = policy.act(state_id(d[..., None], np.arange(env.b_max + 1),
-                                    g[..., None], env),
-                           coin[..., None], pick[..., None])
-        b_next = q[every]
-        for t in range(L):
-            b[:, t + 1] = b_next[lanes, t, b[:, t]]
-        a = every[lanes[:, None], np.arange(L), b[:, :L]]
+        # Each slot's action at every buffer level, then each lane's levels.
+        every = policy.act(state_id(d, np.arange(env.b_max + 1)[:, None, None],
+                                    g, env), coin, pick)
+        b[:, 1:] = buffer_levels(q[every])
+        a = np.take_along_axis(every, b[None, :, :L], axis=0)[0]
     else:
         a = np.empty((n, L), dtype=np.intp)
         policy.reset(n)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -51,5 +50,6 @@ def sweep_lambda(kind: str, lambdas, env: EnvParams, agent_cfg,
 def _run_cells(fn, cells, jobs: int):
     if jobs <= 1 or len(cells) <= 1:
         return [fn(cell) for cell in cells]
+    from concurrent.futures import ProcessPoolExecutor  # not at startup
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, cells))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mecpriv.cli import main
+from mecpriv.cli import build_parser, main
 from mecpriv.nn import (Dense, GRU, NetworkSpec, init_params,
                         load_checkpoint, save_checkpoint)
 
@@ -153,6 +153,56 @@ class TestExitCodes:
                      "--scale", "desk", "--out", str(out)]) == 3
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNonFinite:
+    # A nan passes every `x < 0` check, and an inf every `x > 0` one.
+    @pytest.mark.parametrize("command, ini, flags, named", [
+        ("evaluate", None, ["--lambda", "nan"], "privacy_weight"),
+        ("evaluate", "[env]\ne_local = nan\n", [], "e_local"),
+        ("validate-config", "[agent]\nalpha = nan\n", [], "alpha"),
+        ("validate-config", "[env]\ntask_size_kb = inf\n", [],
+         "task_size_kb"),
+        ("validate-config", "[run]\ntheta_grid = 0.5, nan\n", [], "theta"),
+        ("validate-config", "[run]\nlambda_grid = 2, inf\n", [], "lambda"),
+        ("validate-config", None, ["--lambda", "nan"], "privacy_weight"),
+    ], ids=["evaluate-lambda", "evaluate-e_local", "alpha", "task_size_kb",
+            "theta_grid", "lambda_grid", "validate-lambda"])
+    def test_is_config_error(self, tmp_path, capsys, command, ini, flags,
+                             named):
+        if ini is not None:
+            (tmp_path / "bad.ini").write_text(ini)
+            flags = flags + ["--config", str(tmp_path / "bad.ini")]
+        out = tmp_path / "out"
+        argv = [command, "--scale", "desk", "--out", str(out), *flags]
+        if command == "evaluate":
+            argv += ["--agent", "greedy"]
+        assert main(argv) == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestParserReuse:
+    def test_each_call_parses_afresh(self, tmp_path, capsys):
+        # one parser serves every call of the process
+        assert build_parser() is build_parser()
+
+        def greedy(name):
+            out = tmp_path / name
+            assert main(["evaluate", "--agent", "greedy", "--scale", "desk",
+                         "--seed", "7", "--out", str(out)]) == 0
+            return (out / "metrics.csv").read_bytes()
+
+        first = greedy("first")
+        assert main(["evaluate", "--agent", "theta", "--theta", "0.3",
+                     "--scale", "desk", "--seed", "7",
+                     "--out", str(tmp_path / "theta")]) == 0
+        # no --theta left over from the call before
+        assert greedy("after-theta") == first
+        assert main(["evaluate", "--scale", "galactic"]) == 2
+        assert main(["evaluate", "--help"]) == 0
+        assert "--checkpoint" in capsys.readouterr().out
+        assert greedy("after-errors") == first
 
 
 def _net(input_dim, hidden, output_dim=54):

@@ -3,6 +3,7 @@ arrays, and the properties of the pre-drawn layout: common random numbers
 across policies, episodes independent of the lanes beside them, and
 byte-identical reruns."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from mecpriv.baselines import GreedyPolicy, ThetaPrivatePolicy, UniformPolicy
 from mecpriv.env import mdp, state_id
 from mecpriv.harness import (desk_env, episode_rng, evaluate, rollout_trace,
                              run_episode, write_metrics_csv)
-from mecpriv.harness.runner import LANES, draw, play, run_episodes
+from mecpriv.harness.runner import (LANES, buffer_levels, draw, play,
+                                    run_episodes)
 from mecpriv.nn import init_params
 
 DESK = desk_env()
@@ -51,19 +53,46 @@ def slot_by_slot(policy, env, d, g, coin, pick):
     return s, a
 
 
-@pytest.mark.parametrize("lanes", [1, 7])
+# A tabular policy's buffer levels come from a scan over runs of
+# ceil(sqrt(L)) slots, the first run led by identity maps where the runs
+# overrun L. With C = 6 for L = 30 these lengths give one slot, one whole
+# run (2), runs of 3 led by one identity map (5), by none (6) and by two
+# (7), and five runs of 6 (30).
+C = math.isqrt(SHORT.episode_len - 1) + 1
+RUN_EDGES = [pytest.param(
+    length, lanes,
+    id=f"{lanes}" + ("" if length == SHORT.episode_len else f"-len{length}"))
+    for length in (1, 2, C - 1, C, C + 1, SHORT.episode_len)
+    for lanes in (1, 7, LANES)]
+
+
+@pytest.mark.parametrize("length, lanes", RUN_EDGES)
 @pytest.mark.parametrize("kind", POLICIES)
-def test_lanes_match_slot_by_slot(kind, lanes):
-    drawn = draw(np.random.default_rng(11), lanes, SHORT)
-    s, a = play(POLICIES[kind](SHORT), SHORT, *drawn)
-    want = slot_by_slot(POLICIES[kind](SHORT), SHORT, *drawn)
+def test_lanes_match_slot_by_slot(kind, length, lanes):
+    env = dataclasses.replace(SHORT, episode_len=length)
+    drawn = draw(np.random.default_rng(11), lanes, env)
+    s, a = play(POLICIES[kind](env), env, *drawn)
+    want = slot_by_slot(POLICIES[kind](env), env, *drawn)
     assert np.array_equal(s, want[0]) and np.array_equal(a, want[1])
-    m = mdp(SHORT)
+    m = mdp(env)
     assert m.valid[s, a].all()
     assert (m.b[s[:, 0]] == 0).all()
     assert np.array_equal(m.b[s[:, 1:]], m.q[a[:, :-1]])
     assert np.array_equal(m.d[s], drawn[0])
     assert np.array_equal(m.g[s], drawn[1])
+
+
+@pytest.mark.parametrize("width, lanes, length", [
+    (1, 3, 17), (2, 1, 100), (6, 13, 400), (6, LANES, 400), (300, 2, 500)],
+    ids=["one-level", "uint8", "uint16", "uint32", "wide"])
+def test_buffer_levels_follow_the_chain(width, lanes, length):
+    # random slot maps, whose flat indices need each integer width
+    b_next = np.random.default_rng(width).integers(
+        0, width, size=(width, lanes, length))
+    b = np.zeros((lanes, length + 1), dtype=np.intp)
+    for t in range(length):
+        b[:, t + 1] = b_next[b[:, t], np.arange(lanes), t]
+    assert np.array_equal(buffer_levels(b_next), b[:, 1:])
 
 
 def test_every_policy_meets_the_same_demand_and_channel():
