@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..env import EnvParams, mdp
-from ..nn import backward, forward, forward_step, gru_kernels, init_hidden
+from ..nn import backward, forward, forward_step, init_hidden
 from .common import (AgentConfig, encode, loss_gradient, masked_max,
                      obs_dim)
 
@@ -41,17 +41,6 @@ class QPolicy:
             self._x = encode(s, env)
         self.reset(1)
 
-    @property
-    def params(self):
-        """The net's parameters; assigning new ones rebuilds the GRU
-        kernels that acting steps with."""
-        return self._params
-
-    @params.setter
-    def params(self, params) -> None:
-        self._params = params
-        self._kernels = gru_kernels(self.spec, params)
-
     def reset(self, lanes: int) -> None:
         self._h = init_hidden(self.spec, lanes)
         self.prev = np.full(lanes, -1)
@@ -61,8 +50,7 @@ class QPolicy:
         values. prev, each lane's previous action id (-1 at an episode
         start), is set by act, or by a trainer that explores."""
         x = self._x[s, self.prev + 1] if self._reads_prev else self._x[s]
-        q, self._h = forward_step(self.spec, self._params, x, self._h,
-                                  self._kernels)
+        q, self._h = forward_step(self.spec, self.params, x, self._h)
         return q
 
     def act(self, s, coin=None, pick=None) -> np.ndarray:

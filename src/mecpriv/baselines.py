@@ -33,15 +33,25 @@ class ThetaPrivatePolicy:
         self.theta = theta
         m = mdp(env)
         self._greedy = m.greedy
-        # Row s starts with the valid ids of s, ascending.
-        self._ranked = np.argsort(~m.valid, axis=1, kind="stable")
+        # Entry j * n_states + s is the j-th valid id of s, ascending, for
+        # j below n_actions; the greedy id of s for j = n_actions.
+        ranked = np.argsort(~m.valid, axis=1, kind="stable")
+        self._table = np.vstack((ranked.T, m.greedy)).ravel()
         self._n_valid = m.valid.sum(axis=1)
 
     def act(self, s, coin, pick) -> np.ndarray:
         if self.theta == 0.0:
             return self._greedy[s]
-        choice = self._ranked[s, (pick * self._n_valid[s]).astype(np.intp)]
-        return np.where(coin < self.theta, choice, self._greedy[s])
+        # One table index per slot, built in place: s may be the engine's
+        # whole grid of levels, lanes and slots, the uniforms one per slot.
+        n = len(self._greedy)
+        rand = coin < self.theta
+        j = self._n_valid[s]
+        np.multiply(pick, j, out=j, casting="unsafe")  # floor(pick * n_valid)
+        j *= rand * n
+        j += ~rand * (self._table.size - n)
+        j += s
+        return self._table[j]
 
 
 class GreedyPolicy(ThetaPrivatePolicy):

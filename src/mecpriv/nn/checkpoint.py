@@ -2,21 +2,25 @@
 
 Layout: 8-byte magic, u32 format version, u32 JSON descriptor length, the
 descriptor (input_dim and layer list), then each parameter array as raw
-little-endian float64 in declaration order. Round trips are byte-exact.
+little-endian float64, layer by layer. A dense layer stores w, b; a GRU
+layer stores its gates one after another, w_z, u_z, b_z, w_r, u_r, b_r,
+w_h, u_h, b_h (each w_g (D, n), u_g (n, n), b_g (n)). Round trips are
+byte-exact.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .network import (DENSE_PARAM_NAMES, GRU_PARAM_NAMES, Dense, GRU,
-                      NetworkSpec, Params, param_shapes)
+from .network import Dense, GRU, NetworkSpec, Params, param_shapes
 
 MAGIC = b"QNETCKPT"
 FORMAT_VERSION = 1
+_HEADER = len(MAGIC) + 8
 
 
 class CheckpointError(ValueError):
@@ -33,7 +37,8 @@ def _describe(spec: NetworkSpec) -> dict:
     return {"input_dim": spec.input_dim, "layers": layers}
 
 
-def _spec_from_descriptor(desc: dict) -> NetworkSpec:
+def _spec_from_descriptor(blob: bytes) -> NetworkSpec:
+    desc = json.loads(blob)
     layers = []
     for item in desc["layers"]:
         if item[0] == "gru":
@@ -41,12 +46,17 @@ def _spec_from_descriptor(desc: dict) -> NetworkSpec:
         elif item[0] == "dense":
             layers.append(Dense(units=int(item[1]), activation=item[2]))
         else:
-            raise CheckpointError(f"unknown layer kind {item[0]!r}")
+            raise ValueError(f"unknown layer kind {item[0]!r}")
     return NetworkSpec(input_dim=int(desc["input_dim"]), layers=tuple(layers))
 
 
-def _param_names(layer) -> tuple[str, ...]:
-    return GRU_PARAM_NAMES if isinstance(layer, GRU) else DENSE_PARAM_NAMES
+def _file_order(layer, p) -> list[np.ndarray]:
+    """Views of a layer's arrays in the order the file stores them."""
+    if isinstance(layer, GRU):
+        n = layer.units
+        return [p[k][..., i * n:(i + 1) * n] for i in range(3)
+                for k in ("w", "u", "b")]
+    return [p["w"], p["b"]]
 
 
 def save_checkpoint(path: str | Path, spec: NetworkSpec, params: Params) -> None:
@@ -57,31 +67,39 @@ def save_checkpoint(path: str | Path, spec: NetworkSpec, params: Params) -> None
         fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         fh.write(blob)
         for layer, layer_params in zip(spec.layers, params):
-            for name in _param_names(layer):
-                arr = np.ascontiguousarray(layer_params[name], dtype="<f8")
-                fh.write(arr.tobytes())
+            for arr in _file_order(layer, layer_params):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetworkSpec, Params]:
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        version, blob_len = struct.unpack("<II", fh.read(8))
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        spec = _spec_from_descriptor(json.loads(fh.read(blob_len)))
-        params: Params = []
-        for layer, shapes in zip(spec.layers, param_shapes(spec)):
-            layer_params = {}
-            for name in _param_names(layer):
-                shape = shapes[name]
-                count = int(np.prod(shape))
-                raw = fh.read(count * 8)
-                if len(raw) != count * 8:
-                    raise CheckpointError(f"{path}: truncated checkpoint")
-                layer_params[name] = np.frombuffer(
-                    raw, dtype="<f8").astype(np.float64).reshape(shape)
-            params.append(layer_params)
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes")
+    data = Path(path).read_bytes()
+    if data[:len(MAGIC)] != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    if len(data) < _HEADER:
+        raise CheckpointError(f"{path}: truncated header")
+    version, blob_len = struct.unpack_from("<II", data, len(MAGIC))
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    pos = _HEADER + blob_len
+    if pos > len(data):
+        raise CheckpointError(f"{path}: truncated descriptor")
+    try:
+        spec = _spec_from_descriptor(data[_HEADER:pos])
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad descriptor: "
+                              f"{type(exc).__name__}: {exc}") from exc
+    shapes = param_shapes(spec)
+    # Sized before anything is allocated: a descriptor may claim any shape.
+    need = 8 * sum(math.prod(s) for layer in shapes for s in layer.values())
+    if need != len(data) - pos:
+        raise CheckpointError(f"{path}: {len(data) - pos} bytes of "
+                              f"parameters where the layers need {need}")
+    params: Params = []
+    for layer, layer_shapes in zip(spec.layers, shapes):
+        layer_params = {k: np.empty(s) for k, s in layer_shapes.items()}
+        for block in _file_order(layer, layer_params):
+            block[...] = np.frombuffer(data, "<f8", block.size,
+                                       pos).reshape(block.shape)
+            pos += 8 * block.size
+        params.append(layer_params)
     return spec, params

@@ -3,6 +3,8 @@
 Everything is float64 and functional: parameters are a list of per-layer
 dicts of arrays, forward returns an opaque cache, backward turns a cache
 plus output gradients into parameter gradients of the same structure.
+A dense layer has w (D, n) and b (n); a GRU layer has its three gates side
+by side, z | r | h, in w (D, 3n), u (n, 3n) and b (3n).
 Inputs are shaped (T, B, D): sequence length, batch, feature dim. A hidden
 state passed into forward is treated as a constant, which is what makes
 truncated backpropagation a matter of calling forward per bundle.
@@ -15,9 +17,6 @@ from typing import Union
 import numpy as np
 
 ACTIVATIONS = ("relu", "identity")
-
-DENSE_PARAM_NAMES = ("w", "b")
-GRU_PARAM_NAMES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
 
 @dataclass(frozen=True)
@@ -76,31 +75,31 @@ def param_shapes(spec: NetworkSpec) -> list[dict[str, tuple[int, ...]]]:
     shapes = []
     for layer, (fan_in, units) in zip(spec.layers, spec.layer_dims()):
         if isinstance(layer, GRU):
-            entry = {}
-            for gate in ("z", "r", "h"):
-                entry[f"w_{gate}"] = (fan_in, units)
-                entry[f"u_{gate}"] = (units, units)
-                entry[f"b_{gate}"] = (units,)
-            shapes.append(entry)
+            shapes.append({"w": (fan_in, 3 * units), "u": (units, 3 * units),
+                           "b": (3 * units,)})
         else:
             shapes.append({"w": (fan_in, units), "b": (units,)})
     return shapes
 
 
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    lim = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-lim, lim, size=(fan_in, fan_out))
+
+
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> Params:
-    """Glorot-uniform kernels, zero biases, float64."""
+    """Glorot-uniform kernels, zero biases, float64. A GRU layer draws one
+    kernel per gate, in the order w_z, u_z, w_r, u_r, w_h, u_h."""
     params = []
-    for shapes in param_shapes(spec):
-        layer_params = {}
-        for name in (GRU_PARAM_NAMES if "w_z" in shapes else DENSE_PARAM_NAMES):
-            shape = shapes[name]
-            if name.startswith("b"):
-                layer_params[name] = np.zeros(shape, dtype=np.float64)
-            else:
-                fan_in, fan_out = shape
-                lim = np.sqrt(6.0 / (fan_in + fan_out))
-                layer_params[name] = rng.uniform(-lim, lim, size=shape)
-        params.append(layer_params)
+    for layer, (fan_in, units) in zip(spec.layers, spec.layer_dims()):
+        if isinstance(layer, GRU):
+            w, u = zip(*[(_glorot(rng, fan_in, units), _glorot(rng, units, units))
+                         for _ in "zrh"])
+            params.append({"w": np.hstack(w), "u": np.hstack(u),
+                           "b": np.zeros(3 * units)})
+        else:
+            params.append({"w": _glorot(rng, fan_in, units),
+                           "b": np.zeros(units)})
     return params
 
 
@@ -134,50 +133,24 @@ def _dense_step(p, layer: Dense, x):
     return u, (x, None)
 
 
-@dataclass(frozen=True)
-class GRUKernels:
-    """A GRU layer's gate parameters laid side by side for one forward pass.
-
-    w is [w_z | w_r | w_h], u_zr is [u_z | u_r] and b_zr is [b_z | b_r], so
-    one matmul serves all gates that share an operand. BLAS computes each
-    output column of a product on its own, so the gates come out bit for
-    bit as with one product per gate (tests/test_nn.py checks this).
-    """
-
-    w: np.ndarray
-    u_zr: np.ndarray
-    b_zr: np.ndarray
-
-    @classmethod
-    def of(cls, p) -> "GRUKernels":
-        return cls(np.concatenate((p["w_z"], p["w_r"], p["w_h"]), axis=1),
-                   np.concatenate((p["u_z"], p["u_r"]), axis=1),
-                   np.concatenate((p["b_z"], p["b_r"])))
-
-
-def gru_kernels(spec: NetworkSpec, params: Params) -> list:
-    """GRUKernels of each GRU layer, None for a dense one: what forward
-    builds on each call, built once for a caller that steps one parameter
-    set many times."""
-    return [GRUKernels.of(p) if isinstance(layer, GRU) else None
-            for layer, p in zip(spec.layers, params)]
-
-
-def _gru_step(p, x, h, k: GRUKernels):
-    """One GRU timestep; k is GRUKernels.of(p)."""
-    xw = x @ k.w
+def _gru_step(p, x, h):
+    """One GRU timestep."""
     n = h.shape[1]
+    w, u, b = p["w"], p["u"], p["b"]
+    xw = x @ w
     # In-place forms of z, r = sigmoid(x w + h u + b) and
     # hc = tanh(x w_h + (r h) u_h + b_h); IEEE addition commutes, so the
-    # bits are those of the textbook order.
-    zr = h @ k.u_zr
+    # bits are those of the textbook order. BLAS computes each output
+    # column of a product on its own, so a product over side-by-side gates
+    # gives each gate the bits of its own product (tests/test_nn.py).
+    zr = h @ u[:, :2 * n]
     zr += xw[:, :2 * n]
-    zr += k.b_zr
+    zr += b[:2 * n]
     _sigmoid_(zr)
     z, r = zr[:, :n], zr[:, n:]
-    hc = (r * h) @ p["u_h"]
+    hc = (r * h) @ u[:, 2 * n:]
     hc += xw[:, 2 * n:]
-    hc += p["b_h"]
+    hc += b[2 * n:]
     np.tanh(hc, out=hc)
     h_new = 1.0 - z
     h_new *= h
@@ -196,7 +169,7 @@ class Cache:
 
 def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
             h0: list[np.ndarray] | None = None, collect_cache: bool = True,
-            outputs: bool = True, kernels: list | None = None):
+            outputs: bool = True):
     """Run the network over a (T, B, D) input sequence.
 
     Returns (outputs (T, B, out), final hidden list, cache or None). The
@@ -205,7 +178,6 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
     only GRU layers loop over timesteps, dense layers are one matmul.
     With outputs=False (no cache) the pass stops after the last GRU layer
     and returns None for the outputs: a burn-in needs the hidden state only.
-    kernels, if given, is gru_kernels(spec, params).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[2] != spec.input_dim:
@@ -230,12 +202,10 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
     for li, layer in enumerate(spec.layers):
         if isinstance(layer, GRU):
             h = h_list[gi]
-            k = (kernels[li] if kernels is not None
-                 else GRUKernels.of(params[li]))
             outs = np.empty((T, B, layer.units), dtype=np.float64)
             steps = [] if collect_cache else None
             for t in range(T):
-                h, c = _gru_step(params[li], cur[t], h, k)
+                h, c = _gru_step(params[li], cur[t], h)
                 outs[t] = h
                 if collect_cache:
                     steps.append(c)
@@ -255,11 +225,10 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
 
 
 def forward_step(spec: NetworkSpec, params: Params, x: np.ndarray,
-                 h: list[np.ndarray] | None, kernels: list | None = None):
-    """Single-timestep forward for (B, D) input; returns (y, new hidden).
-    kernels, if given, is gru_kernels(spec, params)."""
+                 h: list[np.ndarray] | None):
+    """Single-timestep forward for (B, D) input; returns (y, new hidden)."""
     out, h_new, _ = forward(spec, params, x[None, :, :], h,
-                            collect_cache=False, kernels=kernels)
+                            collect_cache=False)
     return out[0], h_new
 
 
@@ -310,35 +279,35 @@ def _dense_backward(p, g, layer: Dense, c, dy, need_dx: bool = True):
 def _gru_backward(p, g, c, dh_total, need_dx: bool = True):
     """One timestep of BPTT; accumulates into g, returns (dx, dh_prev).
 
+    The gates' pre-activation gradients sit side by side in d_in, z | r | h
+    as in the parameters, so each parameter takes one product or sum.
     dx is None when need_dx is False.
     """
     x, h, z, r, hc = c
+    n = h.shape[1]
+    w, u = p["w"], p["u"]
+    d_in = np.empty((h.shape[0], 3 * n))
+    dzin, drin, dhin = d_in[:, :n], d_in[:, n:2 * n], d_in[:, 2 * n:]
     dz = dh_total * (hc - h)
     dhc = dh_total * z
     dh_prev = dh_total * (1.0 - z)
 
-    dhin = dhc * (1.0 - hc * hc)
-    g["w_h"] += x.T @ dhin
-    g["b_h"] += dhin.sum(axis=0)
-    drh = dhin @ p["u_h"].T
-    g["u_h"] += (r * h).T @ dhin
+    np.multiply(dhc, 1.0 - hc * hc, out=dhin)
+    drh = dhin @ u[:, 2 * n:].T
     dr = drh * h
-    dh_prev = dh_prev + drh * r
+    dh_prev += drh * r
+    np.multiply(dz * z, 1.0 - z, out=dzin)
+    dh_prev += dzin @ u[:, :n].T
+    np.multiply(dr * r, 1.0 - r, out=drin)
+    dh_prev += drin @ u[:, n:2 * n].T
 
-    dzin = dz * z * (1.0 - z)
-    g["w_z"] += x.T @ dzin
-    g["u_z"] += h.T @ dzin
-    g["b_z"] += dzin.sum(axis=0)
-    dh_prev = dh_prev + dzin @ p["u_z"].T
-
-    drin = dr * r * (1.0 - r)
-    g["w_r"] += x.T @ drin
-    g["u_r"] += h.T @ drin
-    g["b_r"] += drin.sum(axis=0)
-    dh_prev = dh_prev + drin @ p["u_r"].T
+    g["w"] += x.T @ d_in
+    g["u"][:, :2 * n] += h.T @ d_in[:, :2 * n]
+    g["u"][:, 2 * n:] += (r * h).T @ dhin
+    g["b"] += d_in.sum(axis=0)
     if not need_dx:
         return None, dh_prev
-    dx = dhin @ p["w_h"].T
-    dx += dzin @ p["w_z"].T
-    dx += drin @ p["w_r"].T
+    dx = dhin @ w[:, 2 * n:].T
+    dx += dzin @ w[:, :n].T
+    dx += drin @ w[:, n:2 * n].T
     return dx, dh_prev

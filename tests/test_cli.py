@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from mecpriv.cli import build_parser, main
 from mecpriv.nn import (Dense, GRU, NetworkSpec, init_params,
                         load_checkpoint, save_checkpoint)
+from mecpriv.nn.checkpoint import MAGIC
 
 TINY_TRAIN_INI = """
 [env]
@@ -240,6 +242,35 @@ class TestCheckpointMismatch:
         assert main(["evaluate", "--agent", "drqn", "--scale", "desk",
                      "--checkpoint", str(path),
                      "--out", str(tmp_path / "out")]) == 3
+
+    @staticmethod
+    def _file(desc):
+        blob = desc if isinstance(desc, bytes) else json.dumps(desc).encode()
+        return MAGIC + struct.pack("<II", 1, len(blob)) + blob
+
+    @pytest.mark.parametrize("defect", [
+        "short-header", "bad-json", "no-input-dim", "zero-units",
+        "bad-activation", "huge-layer"])
+    def test_malformed_is_config_error(self, tmp_path, capsys, defect):
+        out = ["dense", 54, "identity"]
+        content = {
+            "short-header": MAGIC + b"\x01\x00",
+            "bad-json": self._file(b"{input_dim: 66"),
+            "no-input-dim": self._file({"layers": [["gru", 8], out]}),
+            "zero-units": self._file({"input_dim": 66,
+                                      "layers": [["gru", 0], out]}),
+            "bad-activation": self._file({"input_dim": 66, "layers": [
+                ["gru", 8], ["dense", 54, "softmax"]]}),
+            # no array follows: the loader must not size one for it
+            "huge-layer": self._file({"input_dim": 66,
+                                      "layers": [["gru", 10 ** 12], out]}),
+        }[defect]
+        path = tmp_path / "net.qnet"
+        path.write_bytes(content)
+        assert main(["evaluate", "--agent", "drqn", "--scale", "desk",
+                     "--checkpoint", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "config error: cannot load checkpoint" in capsys.readouterr().err
 
 
 class TestValidateConfig:

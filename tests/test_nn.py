@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from mecpriv.nn import (Adam, CheckpointError, Dense, GRU, NetworkSpec,
                         gradient_check, init_hidden, init_params,
                         load_checkpoint, polyak_update, save_checkpoint,
                         zeros_like_params)
-from mecpriv.nn.network import GRUKernels, _gru_step
+from mecpriv.nn.checkpoint import FORMAT_VERSION, MAGIC
+from mecpriv.nn.network import _gru_backward, _gru_step
 
 GRU_SPEC = NetworkSpec(input_dim=4, layers=(GRU(6), Dense(5, "relu"),
                                             Dense(3, "identity")))
@@ -17,6 +20,25 @@ DENSE_SPEC = NetworkSpec(input_dim=6, layers=(
 def random_net(spec, seed=0):
     rng = np.random.default_rng(seed)
     return init_params(spec, rng), rng
+
+
+def gates(p):
+    """A GRU layer's per-gate arrays, w_z .. b_h, sliced from z | r | h."""
+    n = p["u"].shape[0]
+    return {f"{k}_{gate}": p[k][..., i * n:(i + 1) * n]
+            for i, gate in enumerate("zrh") for k in ("w", "u", "b")}
+
+
+def gru_case(batch, seed=4):
+    """A 9-input, 16-unit GRU layer with nonzero biases, and an input and
+    hidden state of the given batch."""
+    params, rng = random_net(NetworkSpec(input_dim=9, layers=(
+        GRU(16), Dense(3, "identity"))), seed)
+    p = {k: v + (0.1 * rng.standard_normal(v.shape) if k == "b" else 0)
+         for k, v in params[0].items()}
+    x = rng.standard_normal((batch, 9))
+    h = np.tanh(rng.standard_normal((batch, 16)))
+    return p, x, h, rng
 
 
 class TestSpec:
@@ -75,17 +97,13 @@ class TestForward:
     def test_gru_step_equals_gate_formulas_bitwise(self, batch):
         # The step fuses the gates' matmuls and works in place; a seeded
         # training run must still give the bits of the textbook form.
-        params, rng = random_net(NetworkSpec(input_dim=9, layers=(
-            GRU(16), Dense(3, "identity"))), 4)
-        p = {k: v + (0.1 * rng.standard_normal(v.shape) if k[0] == "b" else 0)
-             for k, v in params[0].items()}
-        x = rng.standard_normal((batch, 9))
-        h = np.tanh(rng.standard_normal((batch, 16)))
+        p, x, h, _ = gru_case(batch)
+        q = {k: v.copy() for k, v in gates(p).items()}
         sig = lambda a: 0.5 * (1.0 + np.tanh(0.5 * a))
-        z = sig(x @ p["w_z"] + h @ p["u_z"] + p["b_z"])
-        r = sig(x @ p["w_r"] + h @ p["u_r"] + p["b_r"])
-        hc = np.tanh(x @ p["w_h"] + (r * h) @ p["u_h"] + p["b_h"])
-        h_new, _ = _gru_step(p, x, h, GRUKernels.of(p))
+        z = sig(x @ q["w_z"] + h @ q["u_z"] + q["b_z"])
+        r = sig(x @ q["w_r"] + h @ q["u_r"] + q["b_r"])
+        hc = np.tanh(x @ q["w_h"] + (r * h) @ q["u_h"] + q["b_h"])
+        h_new, _ = _gru_step(p, x, h)
         assert np.array_equal(h_new, (1.0 - z) * h + z * hc)
 
     def test_hidden_only_pass_matches_full_pass(self):
@@ -187,6 +205,39 @@ class TestBackward:
             abs(grads[0]["w"][0, 0]), abs(numeric))
         assert rel > 1e-2
 
+    @pytest.mark.parametrize("need_dx", [False, True])
+    @pytest.mark.parametrize("batch", [1, 2, 32])
+    def test_gru_backward_equals_gate_formulas_bitwise(self, batch, need_dx):
+        # The textbook per-gate backward step on contiguous per-gate
+        # arrays, in the order of operations the fused step keeps.
+        p, x, h, rng = gru_case(batch, 5)
+        _, c = _gru_step(p, x, h)
+        dh_total = rng.standard_normal(h.shape)
+        g = {k: rng.standard_normal(v.shape) for k, v in p.items()}
+        q = {k: v.copy() for k, v in gates(p).items()}
+        want = {k: v.copy() for k, v in gates(g).items()}
+        _, _, z, r, hc = c
+        dz = dh_total * (hc - h)
+        dhin = dh_total * z * (1.0 - hc * hc)
+        drh = dhin @ q["u_h"].T
+        dzin = dz * z * (1.0 - z)
+        drin = drh * h * r * (1.0 - r)
+        dh_prev = (dh_total * (1.0 - z) + drh * r + dzin @ q["u_z"].T
+                   + drin @ q["u_r"].T)
+        for gate, d, hh in (("z", dzin, h), ("r", drin, h),
+                            ("h", dhin, r * h)):
+            want[f"w_{gate}"] += x.T @ d
+            want[f"u_{gate}"] += hh.T @ d
+            want[f"b_{gate}"] += d.sum(axis=0)
+        dx, got_dh = _gru_backward(p, g, c, dh_total, need_dx)
+        assert np.array_equal(got_dh, dh_prev)
+        assert all(np.array_equal(v, want[k]) for k, v in gates(g).items())
+        if need_dx:
+            assert np.array_equal(dx, dhin @ q["w_h"].T + dzin @ q["w_z"].T
+                                  + drin @ q["w_r"].T)
+        else:
+            assert dx is None
+
     def test_gradient_shape_mismatch_rejected(self):
         params, rng = random_net(GRU_SPEC, 9)
         xs = rng.standard_normal((4, 2, 4))
@@ -238,6 +289,39 @@ class TestCheckpoint:
         save_checkpoint(second, spec2, params2)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_v1_layout_stores_gru_gates_one_by_one(self, tmp_path):
+        # The file keeps the per-gate order of format 1, whatever the
+        # in-memory layout: w_z, u_z, b_z, w_r, .., b_h per GRU layer.
+        spec = NetworkSpec(input_dim=4, layers=(GRU(3), GRU(2),
+                                                Dense(2, "identity")))
+        rng = np.random.default_rng(17)
+        blob = (b'{"input_dim":4,"layers":[["gru",3],["gru",2],'
+                b'["dense",2,"identity"]]}')
+        expected = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(blob)),
+                    blob]
+        params = []
+        for d, n in ((4, 3), (3, 2)):
+            per_gate = [[rng.standard_normal(shape)
+                         for shape in ((d, n), (n, n), (n,))]
+                        for _ in "zrh"]
+            expected += [a.astype("<f8").tobytes()
+                         for gate in per_gate for a in gate]
+            params.append({k: np.concatenate([gate[i] for gate in per_gate],
+                                             axis=-1)
+                           for i, k in enumerate(("w", "u", "b"))})
+        dense = {"w": rng.standard_normal((2, 2)), "b": rng.standard_normal(2)}
+        expected += [dense["w"].tobytes(), dense["b"].tobytes()]
+        params.append(dense)
+        path = tmp_path / "v1.qnet"
+        save_checkpoint(path, spec, params)
+        assert path.read_bytes() == b"".join(expected)
+        spec2, params2 = load_checkpoint(path)
+        assert spec2 == spec
+        assert [sorted(layer) for layer in params2] == \
+            [["b", "u", "w"]] * 2 + [["b", "w"]]
+        assert all(np.array_equal(a[k], b[k]) and a[k].shape == b[k].shape
+                   for a, b in zip(params, params2) for k in a)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.qnet"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
@@ -256,14 +340,27 @@ class TestCheckpoint:
 class TestInit:
     def test_biases_zero_kernels_bounded(self):
         params, _ = random_net(GRU_SPEC, 21)
-        for layer, shapes in zip(params, [l for l in params]):
-            for name, arr in layer.items():
-                if name.startswith("b"):
-                    assert np.all(arr == 0.0)
-                else:
-                    fan_in, fan_out = arr.shape
-                    lim = np.sqrt(6.0 / (fan_in + fan_out))
-                    assert np.all(np.abs(arr) <= lim)
+        arrays = [*gates(params[0]).items(), *params[1].items(),
+                  *params[2].items()]
+        assert len(arrays) == 13
+        for name, arr in arrays:
+            if name.startswith("b"):
+                assert np.all(arr == 0.0)
+            else:
+                fan_in, fan_out = arr.shape
+                lim = np.sqrt(6.0 / (fan_in + fan_out))
+                assert np.all(np.abs(arr) <= lim)
+
+    def test_gru_init_draws_gate_by_gate(self):
+        spec = NetworkSpec(input_dim=3, layers=(GRU(2), Dense(1, "identity")))
+        params, _ = random_net(spec, 8)
+        rng = np.random.default_rng(8)
+        for gate in "zrh":
+            for name, shape in ((f"w_{gate}", (3, 2)), (f"u_{gate}", (2, 2))):
+                lim = np.sqrt(6.0 / sum(shape))
+                assert np.array_equal(gates(params[0])[name],
+                                      rng.uniform(-lim, lim, size=shape))
+        assert set(params[0]) == {"w", "u", "b"}
 
     def test_clone_is_deep(self):
         params, _ = random_net(DENSE_SPEC, 4)
