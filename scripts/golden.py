@@ -1,9 +1,16 @@
 """Golden digests: sha256 of every CSV and checkpoint of a fixed command set.
 
-Run it on two trees and diff the output; a refactor that claims bit-identity
-must print the same lines on both:
+scripts/golden.txt is the checked-in listing. A refactor that claims
+bit-identity must print it unchanged:
 
-    PYTHONPATH=src python3 scripts/golden.py > after.txt
+    python3 scripts/golden.py | diff - scripts/golden.txt
+
+A change that moves results updates golden.txt, so its diff names the
+digests that moved. The listing was recorded with numpy 2.4.6 and OpenBLAS
+0.3.31 (scipy-openblas, Haswell kernels) on Python 3.11; another numpy or
+BLAS build may print other digests, and then two trees are compared on one
+machine instead:
+
     PYTHONPATH=/path/to/other/src python3 scripts/golden.py > before.txt
 
 The commands run in-process through mecpriv.cli.main, in a temporary
@@ -13,7 +20,7 @@ trace lacks volumes that its evaluation trace has (the attacker's guess for
 an unseen volume and a non-empty unseen_t column), short trainings of both
 learners with an evaluate and an attack of each checkpoint, a short lambda
 sweep in two worker processes, and three full 300-episode desk trainings
-(the only runs long enough to wrap the DQN's replay ring). Two short
+(the only runs long enough to wrap the replay rings of both learners). Two short
 trainings of both learners at paper scale (two 160-slot episodes, one
 update every 40 slots, one evaluation episode) cover the paper preset's
 soft target update, which keeps 1 - 1e-4 of the target net instead of the

@@ -1,15 +1,16 @@
 """Replay storage: single slots for the DQN, whole episodes for the DRQN.
 
-Both stores take the trainer's slots through record(s, a, r, s_next) and
-end_episode(). sample_batch hands out B sequences of T slots, encoded as
-(x_on, x_tg, acts, rews, next_ids): the online and target nets' inputs,
-(T, B) actions and rewards, and the state ids of the next states. A
-single-slot store samples sequences of T = 1.
+Both stores take the trainer's scored chunks through extend(states,
+actions, rewards), where states has one more entry than actions: the
+state after the chunk's last action. end_episode() closes an episode.
+The DQN's store is a ring of slots. The DRQN's is a ring of fixed-length
+episode rows, one of them open for the episode being played.
+sample_batch hands out B sequences of T slots, encoded as (x_on, x_tg,
+acts, rews, next_ids): the online and target nets' inputs, (T, B) actions
+and rewards, and the state ids of the next states. A single-slot store
+samples sequences of T = 1.
 """
 from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +44,17 @@ class TransitionBuffer:
     def __len__(self) -> int:
         return min(self._count, self.capacity)
 
-    def record(self, s: int, a: int, r: float, s_next: int) -> None:
-        """Store one slot, overwriting the oldest once full."""
-        i = self._count % self.capacity
-        self._states[:, i] = (s, s_next)
-        self._actions[i] = a
-        self._rewards[i] = r
-        self._count += 1
+    def extend(self, states, actions, rewards) -> None:
+        """Store a chunk of slots, overwriting the oldest once full."""
+        n = len(actions)
+        # slots that a later slot of this chunk would overwrite are skipped
+        skip = max(0, n - self.capacity)
+        i = (self._count + np.arange(skip, n)) % self.capacity
+        self._states[0, i] = states[skip:-1]
+        self._states[1, i] = states[skip + 1:]
+        self._actions[i] = actions[skip:]
+        self._rewards[i] = rewards[skip:]
+        self._count += n
 
     def end_episode(self) -> None:
         pass
@@ -65,88 +70,54 @@ class TransitionBuffer:
                       self._rewards[idx][None], env)
 
 
-@dataclass
-class EpisodeTrace:
-    """One episode as parallel arrays of ids and rewards; states has one
-    trailing entry (the state after the final action)."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.actions)
-        if not (len(self.states) == n + 1 and len(self.rewards) == n):
-            raise ValueError("trace arrays are inconsistent")
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
 class EpisodeBuffer:
-    """Episode store bounded by total step count; oldest episodes evicted."""
+    """The last max(1, capacity_steps // episode_len) whole episodes.
 
-    def __init__(self, capacity_steps: int):
+    Each episode is one row of preallocated arrays; the rows form a ring
+    with one extra row for the open episode, so the oldest kept episode
+    stays sampleable until end_episode evicts it.
+    """
+
+    def __init__(self, capacity_steps: int, episode_len: int):
         if capacity_steps < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity_steps = capacity_steps
-        self._episodes: deque[EpisodeTrace] = deque()
-        self._steps = 0
-        self._open: list[tuple] = []
-        self._last: int | None = None
+        rows = max(1, capacity_steps // episode_len) + 1
+        self._states = np.empty((rows, episode_len + 1), dtype=np.int64)
+        self._actions = np.empty((rows, episode_len), dtype=np.int64)
+        self._rewards = np.empty((rows, episode_len))
+        self._closed = 0  # episodes ended so far
+        self._filled = 0  # slots in the open row
 
-    def __len__(self) -> int:
-        return len(self._episodes)
-
-    @property
-    def steps(self) -> int:
-        return self._steps
-
-    def push(self, trace: EpisodeTrace) -> None:
-        self._episodes.append(trace)
-        self._steps += len(trace)
-        while self._steps > self.capacity_steps and len(self._episodes) > 1:
-            old = self._episodes.popleft()
-            self._steps -= len(old)
-
-    def sample_windows(self, k: int, seq_len: int,
-                       rng: np.random.Generator) -> list[tuple[EpisodeTrace, int]]:
-        eligible = [ep for ep in self._episodes if len(ep) >= seq_len]
-        if not eligible:
-            raise ValueError(f"no stored episode of length >= {seq_len}")
-        out = []
-        for _ in range(k):
-            ep = eligible[rng.integers(0, len(eligible))]
-            start = int(rng.integers(0, len(ep) - seq_len + 1))
-            out.append((ep, start))
-        return out
-
-    def record(self, s: int, a: int, r: float, s_next: int) -> None:
-        """Add one slot to the open episode, stored whole at end_episode."""
-        self._open.append((s, a, r))
-        self._last = s_next
+    def extend(self, states, actions, rewards) -> None:
+        """Append a chunk of slots to the open episode."""
+        row, lo = self._closed % len(self._actions), self._filled
+        self._filled += len(actions)
+        self._states[row, lo:self._filled + 1] = states
+        self._actions[row, lo:self._filled] = actions
+        self._rewards[row, lo:self._filled] = rewards
 
     def end_episode(self) -> None:
-        states, actions, rewards = zip(*self._open)
-        self.push(EpisodeTrace(np.array(states + (self._last,),
-                                        dtype=np.int64),
-                               np.array(actions, dtype=np.int64),
-                               np.array(rewards, dtype=np.float64)))
-        self._open = []
+        self._closed += 1
+        self._filled = 0
 
     def sample_batch(self, cfg, env: EnvParams, rng: np.random.Generator):
         """batch_size windows of seq_len slots, or None until an episode is
         stored. The observations carry the previous action, none (-1) at
         an episode start."""
-        if not self._episodes:
+        rows, L = self._actions.shape
+        kept = min(self._closed, rows - 1)
+        if not kept:
             return None
-        windows = self.sample_windows(cfg.batch_size, cfg.seq_len, rng)
         T = cfg.seq_len
-        cut = lambda name, n: np.stack(
-            [getattr(ep, name)[w:w + n] for ep, w in windows], axis=1)
-        acts = cut("actions", T)
-        prev = np.vstack([
-            [(ep.actions[w - 1] if w > 0 else -1) for ep, w in windows],
-            acts])
-        return _batch(cut("states", T + 1), acts, cut("rewards", T), env,
-                      prev)
+        # scalar draws, the episode and then the start of each window; one
+        # size=B draw per array would give other numbers from the stream
+        ep, start = np.array([(rng.integers(0, kept),
+                               rng.integers(0, L - T + 1))
+                              for _ in range(cfg.batch_size)]).T
+        row = (self._closed - kept + ep) % rows  # kept episodes oldest first
+        cut = lambda a, n: a[row, start + np.arange(n)[:, None]]
+        acts = cut(self._actions, T)
+        prev = np.vstack([np.where(start > 0,
+                                   self._actions[row, start - 1], -1), acts])
+        return _batch(cut(self._states, T + 1), acts, cut(self._rewards, T),
+                      env, prev)

@@ -214,10 +214,11 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
     The two kinds differ only in their net's input and replay store: the
     DQN samples single slots, the DRQN windows of seq_len slots whose
     observations carry the previous action. The learner's own policy acts
-    epsilon-greedily in rewarded episodes. Each slot goes to the store;
-    every update_every slots, once the store can fill a batch, one
-    gradient step follows, with a soft target update every
-    target_update_period gradient steps.
+    epsilon-greedily in rewarded episodes. The slots acted since the last
+    update are scored and go to the store as one chunk; every
+    update_every slots, once the store can fill a batch, one gradient
+    step follows, with a soft target update every target_update_period
+    gradient steps.
     """
     if kind not in ("dqn", "drqn"):
         raise ValueError(f"unknown learner {kind!r}")
@@ -228,8 +229,11 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
     actor = QPolicy(spec, init_params(spec, rng), env)
     target = clone_params(actor.params)
     opt = Adam(cfg.alpha)
-    replay = (EpisodeBuffer if recurrent else TransitionBuffer)(
-        cfg.buffer_capacity)
+    # The stores allocate their room up front; no run fills more than
+    # the slots it plays.
+    room = min(cfg.buffer_capacity, cfg.episodes * env.episode_len)
+    replay = (EpisodeBuffer(room, env.episode_len) if recurrent
+              else TransitionBuffer(room))
     baseline = RewardBaseline(cfg.center_rewards, cfg.scale_rewards)
     curve: list[tuple[int, float, float]] = []
     grad_steps = 0
@@ -253,13 +257,14 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
             if not update and n + 1 < env.episode_len:
                 continue
             # Score the slots acted since the last update, reading the
-            # window's W - 1 slots before them; store them in slot order,
+            # window's W - 1 slots before them; store them as one chunk,
             # then update, as a slot-by-slot loop would.
             lo = max(0, scored_to - env.window + 1)
             _, r = scored(states[lo:n + 1], actions[lo:n + 1], env,
                           scored_to - lo)
-            for i, r_i in enumerate(r.tolist(), scored_to):
-                replay.record(states[i], actions[i], r_i, states[i + 1])
+            replay.extend(states[scored_to:n + 2], actions[scored_to:n + 1],
+                          r)
+            for r_i in r.tolist():
                 baseline.add(r_i)
                 total += r_i
             scored_to = n + 1

@@ -37,17 +37,25 @@ def _describe(spec: NetworkSpec) -> dict:
     return {"input_dim": spec.input_dim, "layers": layers}
 
 
+def _size(value) -> int:
+    """A size as written by save_checkpoint: a JSON integer, not a bool."""
+    if type(value) is not int:
+        raise TypeError(f"size {value!r} is not an integer")
+    return value
+
+
 def _spec_from_descriptor(blob: bytes) -> NetworkSpec:
     desc = json.loads(blob)
     layers = []
     for item in desc["layers"]:
         if item[0] == "gru":
-            layers.append(GRU(units=int(item[1])))
+            layers.append(GRU(units=_size(item[1])))
         elif item[0] == "dense":
-            layers.append(Dense(units=int(item[1]), activation=item[2]))
+            layers.append(Dense(units=_size(item[1]), activation=item[2]))
         else:
             raise ValueError(f"unknown layer kind {item[0]!r}")
-    return NetworkSpec(input_dim=int(desc["input_dim"]), layers=tuple(layers))
+    return NetworkSpec(input_dim=_size(desc["input_dim"]),
+                       layers=tuple(layers))
 
 
 def _file_order(layer, p) -> list[np.ndarray]:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mecpriv.agents import (AgentConfig, EpisodeBuffer, EpisodeTrace, QPolicy,
+from mecpriv.agents import (AgentConfig, EpisodeBuffer, QPolicy,
                             TransitionBuffer, encode, epsilon_at,
                             epsilon_greedy, network_spec, obs_dim, q_update,
                             state_dim)
@@ -206,8 +206,9 @@ class TestTdTargets:
         params, target = (init_params(spec, rng) for _ in range(2))
         buf = TransitionBuffer(64)
         for _ in range(64):
-            buf.record(int(rng.integers(48)), int(rng.integers(54)),
-                       float(rng.normal()), int(rng.integers(48)))
+            s, a, r, s2 = (int(rng.integers(48)), int(rng.integers(54)),
+                           float(rng.normal()), int(rng.integers(48)))
+            buf.extend([s, s2], [a], [r])
         cfg = dataclasses.replace(TINY_DQN, batch_size=64)
         batch = buf.sample_batch(cfg, P, np.random.default_rng(1))
         _, loss = q_update(spec, params, target, Adam(0.1), batch, P, cfg)
@@ -234,7 +235,7 @@ class TestTdTargets:
         # values; Adam moves no parameter on a zero gradient
         buf = TransitionBuffer(16)
         for i, (s, a, s2) in enumerate(samples):
-            buf.record(s, a, float(q_now[i, a]), s2)
+            buf.extend([s, s2], [a], [float(q_now[i, a])])
         cfg = dataclasses.replace(TINY_DQN, batch_size=16, gamma=0.0)
         batch = buf.sample_batch(cfg, P, np.random.default_rng(0))
         new_params, loss = q_update(spec, params, params, Adam(0.1), batch,
@@ -252,8 +253,8 @@ class TestTdTargets:
                         float(rng.normal(30.0, 20.0)),
                         int(rng.integers(48))) for _ in range(50)]
         buf = TransitionBuffer(32)  # wraps: holds the last 32
-        for tr in transitions:
-            buf.record(*tr)
+        for s, a, r, s2 in transitions:
+            buf.extend([s, s2], [a], [r])
         ring = transitions[-32:]
         ring = ring[-(50 % 32):] + ring[:-(50 % 32)]  # by ring position
         cfg = dataclasses.replace(TINY_DQN, batch_size=20, loss=loss)
@@ -281,25 +282,56 @@ class TestTdTargets:
 class TestReplay:
     S0 = state_id(0, 0, 0, P)
 
+    @staticmethod
+    def _ring_batch(buf, size):
+        """A batch from buf and the ring positions its draws name."""
+        cfg = AgentConfig(batch_size=size)
+        return (buf.sample_batch(cfg, P, np.random.default_rng(3)),
+                np.random.default_rng(3).integers(0, len(buf), size=size))
+
+    def _slots(self, n):
+        """n chained slots: states, actions 0..n-1, rewards 0.0..n-1."""
+        return (np.array([state_id(i % 4, i % 6, i % 2, P)
+                          for i in range(n + 1)]),
+                np.arange(n), np.arange(n, dtype=float))
+
     def test_ring_eviction_order(self):
         buf = TransitionBuffer(3)
         for a in range(5):
-            buf.record(state_id(a % 4, 0, 0, P), a, float(a), self.S0)
+            buf.extend([state_id(a % 4, 0, 0, P), self.S0], [a], [float(a)])
         assert len(buf) == 3
-        # records 3 and 4 overwrote ring positions 0 and 1
-        cfg = AgentConfig(batch_size=3)
-        _, _, acts, rews, _ = buf.sample_batch(cfg, P,
-                                               np.random.default_rng(3))
-        drawn = np.random.default_rng(3).integers(0, 3, size=3)
+        # slots 3 and 4 overwrote ring positions 0 and 1
+        (_, _, acts, rews, _), drawn = self._ring_batch(buf, 3)
         assert len(set(drawn)) > 1
         assert np.array_equal(acts[0], np.array([3, 4, 2])[drawn])
         assert np.array_equal(rews[0], np.array([3.0, 4.0, 2.0])[drawn])
 
+    @pytest.mark.parametrize("chunks, ring", [
+        ([5], [3, 4, 2]),  # one chunk longer than the ring
+        ([3, 3], [4, 5, 2, 3]),  # the second chunk straddles the wrap
+    ], ids=["longer-than-capacity", "straddles-wrap"])
+    def test_chunk_equals_slot_by_slot(self, chunks, ring):
+        s, a, r = self._slots(sum(chunks))
+        chunked, single = (TransitionBuffer(len(ring)) for _ in range(2))
+        lo = 0
+        for n in chunks:
+            chunked.extend(s[lo:lo + n + 1], a[lo:lo + n], r[lo:lo + n])
+            lo += n
+        for i in range(len(a)):
+            single.extend(s[i:i + 2], a[i:i + 1], r[i:i + 1])
+        (x_on, x_tg, acts, rews, next_ids), drawn = self._ring_batch(
+            chunked, len(ring))
+        assert len(set(drawn)) > 1
+        assert np.array_equal(acts[0], np.array(ring)[drawn])
+        assert np.array_equal(rews[0], np.array(ring, dtype=float)[drawn])
+        assert np.array_equal(next_ids[0], s[np.array(ring)[drawn] + 1])
+        want = self._ring_batch(single, len(ring))[0]
+        assert all(np.array_equal(u, v)
+                   for u, v in zip((x_on, x_tg, acts, rews, next_ids), want))
+
     def test_sampling_reproducible(self):
         buf = TransitionBuffer(10)
-        for i in range(10):
-            buf.record(state_id(i % 4, i % 6, i % 2, P), i, float(i),
-                       state_id(0, i % 6, 0, P))
+        buf.extend(*self._slots(10))
         cfg = AgentConfig(batch_size=6)
         a, b = (buf.sample_batch(cfg, P, np.random.default_rng(3))
                 for _ in range(2))
@@ -311,13 +343,17 @@ class TestReplay:
         rng = np.random.default_rng(0)
         buf = TransitionBuffer(4)
         assert buf.sample_batch(cfg, P, rng) is None
-        buf.record(self.S0, 0, 0.0, self.S0)
+        buf.extend([self.S0, self.S0], [0], [0.0])
         assert buf.sample_batch(cfg, P, rng) is None
-        assert EpisodeBuffer(100).sample_batch(cfg, P, rng) is None
+        episodes = EpisodeBuffer(100, 10)
+        assert episodes.sample_batch(cfg, P, rng) is None
+        # an open episode is not sampled
+        episodes.extend(*self._slots(10))
+        assert episodes.sample_batch(cfg, P, rng) is None
 
     def test_batches_encode_the_stored_slots(self):
         buf = TransitionBuffer(2)
-        buf.record(state_id(1, 2, 1, P), 7, 0.5, state_id(3, 4, 0, P))
+        buf.extend([state_id(1, 2, 1, P), state_id(3, 4, 0, P)], [7], [0.5])
         x_on, x_tg, acts, rews, next_ids = buf.sample_batch(
             AgentConfig(batch_size=1), P, np.random.default_rng(0))
         assert np.array_equal(x_on[0, 0], encode(state_id(1, 2, 1, P), P))
@@ -325,36 +361,78 @@ class TestReplay:
         assert (acts.shape, acts[0, 0], rews[0, 0]) == ((1, 1), 7, 0.5)
         assert next_ids[0, 0] == state_id(3, 4, 0, P)
 
-    def _trace(self, n, tag=0):
-        return EpisodeTrace(states=np.zeros(n + 1, dtype=np.int64),
-                            actions=np.full(n, tag, dtype=np.int64),
-                            rewards=np.zeros(n))
+    @staticmethod
+    def _episode_batch(buf, kept, L, T, size=32, seed=1):
+        """A window batch from buf, and the (episode, start) draws it made:
+        the episode among the kept ones (oldest first), then the start."""
+        cfg = AgentConfig(batch_size=size, seq_len=T, tbptt_len=T)
+        rng = np.random.default_rng(seed)
+        draws = [(int(rng.integers(0, kept)), int(rng.integers(0, L - T + 1)))
+                 for _ in range(size)]
+        return buf.sample_batch(cfg, P, np.random.default_rng(seed)), draws
+
+    def _tagged(self, buf, L, tag):
+        """One closed episode whose every action is tag."""
+        buf.extend(np.full(L + 1, self.S0), np.full(L, tag), np.zeros(L))
+        buf.end_episode()
 
     def test_episode_buffer_step_cap(self):
-        buf = EpisodeBuffer(100)
+        # 100 steps hold two 40-slot episodes: the last two of five
+        buf = EpisodeBuffer(100, 40)
         for tag in range(5):
-            buf.push(self._trace(40, tag))
-        assert buf.steps <= 100
-        assert [int(ep.actions[0]) for ep in buf._episodes] == [3, 4]
+            self._tagged(buf, 40, tag)
+        (_, _, acts, _, _), draws = self._episode_batch(buf, 2, 40, 40)
+        assert {e for e, _ in draws} == {0, 1}
+        assert np.array_equal(acts[0], np.array([3, 4])[[e for e, _ in draws]])
+
+    def test_keeps_one_episode_below_its_length(self):
+        buf = EpisodeBuffer(10, 40)
+        for tag in range(3):
+            self._tagged(buf, 40, tag)
+        (_, _, acts, _, _), _ = self._episode_batch(buf, 1, 40, 8)
+        assert np.all(acts == 2)
 
     def test_window_bounds(self):
-        buf = EpisodeBuffer(1000)
-        buf.push(self._trace(20))
-        rng = np.random.default_rng(1)
-        for ep, start in buf.sample_windows(50, 8, rng):
-            assert 0 <= start <= len(ep) - 8
+        buf = EpisodeBuffer(1000, 20)
+        buf.extend(*self._slots(20))
+        buf.end_episode()
+        (_, _, acts, _, _), draws = self._episode_batch(buf, 1, 20, 8, 50)
+        # actions are slot numbers, so a window's first action is its start
+        starts = acts[0]
+        assert np.array_equal(starts, [w for _, w in draws])
+        assert starts.min() == 0 and starts.max() == 20 - 8
+        assert np.array_equal(acts, starts + np.arange(8)[:, None])
 
-    def test_too_long_window_rejected(self):
-        buf = EpisodeBuffer(1000)
-        buf.push(self._trace(5))
-        with pytest.raises(ValueError):
-            buf.sample_windows(1, 8, np.random.default_rng(0))
-
-    def test_inconsistent_trace_rejected(self):
-        with pytest.raises(ValueError):
-            EpisodeTrace(states=np.zeros(3, dtype=np.int64),
-                         actions=np.zeros(3, dtype=np.int64),
-                         rewards=np.zeros(3))
+    def test_window_batch_equals_episode_slices(self):
+        # two episodes fit; five are stored in uneven chunks and a sixth
+        # is left half played, so its row must not overwrite the oldest
+        # kept episode
+        L, T = 10, 4
+        rng = np.random.default_rng(8)
+        eps = [(rng.integers(0, 48, L + 1), rng.integers(0, 54, L),
+                rng.normal(size=L)) for _ in range(6)]
+        buf = EpisodeBuffer(2 * L + 5, L)
+        for k, (s, a, r) in enumerate(eps):
+            cuts = [0, 1, 8, L] if k < 5 else [0, 1, L // 2]
+            for lo, hi in zip(cuts, cuts[1:]):
+                buf.extend(s[lo:hi + 1], a[lo:hi], r[lo:hi])
+            if k < 5:
+                buf.end_episode()
+        (x_on, x_tg, acts, rews, next_ids), draws = self._episode_batch(
+            buf, 2, L, T)
+        assert {e for e, _ in draws} == {0, 1}
+        assert {w == 0 for _, w in draws} == {True, False}
+        kept = eps[3:5]
+        s = np.stack([kept[e][0][w:w + T + 1] for e, w in draws], axis=1)
+        prev = np.stack([np.r_[kept[e][1][w - 1] if w else -1,
+                               kept[e][1][w:w + T]] for e, w in draws],
+                        axis=1)
+        x = encode(s, P, prev)
+        assert np.array_equal(x_on, x[:-1]) and np.array_equal(x_tg, x[1:])
+        assert np.array_equal(acts, prev[1:])
+        assert np.array_equal(rews, np.stack(
+            [kept[e][2][w:w + T] for e, w in draws], axis=1))
+        assert np.array_equal(next_ids, s[1:])
 
 
 class TestTraining:
@@ -431,8 +509,8 @@ def reference_train(kind, env, cfg, rng):
     actor = QPolicy(spec, init_params(spec, rng), env)
     target = clone_params(actor.params)
     opt = Adam(cfg.alpha)
-    replay = (EpisodeBuffer if recurrent else TransitionBuffer)(
-        cfg.buffer_capacity)
+    replay = (EpisodeBuffer(cfg.buffer_capacity, env.episode_len)
+              if recurrent else TransitionBuffer(cfg.buffer_capacity))
     baseline = RewardBaseline(cfg.center_rewards, cfg.scale_rewards)
     curve, grad_steps = [], 0
     for ep in range(cfg.episodes):
@@ -446,7 +524,7 @@ def reference_train(kind, env, cfg, rng):
             r = reward(float(m.cost[s, a]),
                        reference_breakdown(window)["p_total"],
                        env.privacy_weight)
-            replay.record(s, a, r, s_next)
+            replay.extend([s, s_next], [a], [r])
             baseline.add(r)
             total += r
             if n % cfg.update_every == 0 and \

@@ -248,9 +248,18 @@ class TestCheckpointMismatch:
         blob = desc if isinstance(desc, bytes) else json.dumps(desc).encode()
         return MAGIC + struct.pack("<II", 1, len(blob)) + blob
 
+    @classmethod
+    def _sized(cls, desc, spec):
+        """A file whose parameter bytes fit spec, the net that truncating
+        desc's sizes to integers gives: a valid desk DRQN."""
+        n = sum(a.size for layer in init_params(spec, np.random.default_rng(0))
+                for a in layer.values())
+        return cls._file(desc) + bytes(8 * n)
+
     @pytest.mark.parametrize("defect", [
         "short-header", "bad-json", "no-input-dim", "zero-units",
-        "bad-activation", "huge-layer"])
+        "bad-activation", "huge-layer", "float-input-dim", "float-units",
+        "bool-units"])
     def test_malformed_is_config_error(self, tmp_path, capsys, defect):
         out = ["dense", 54, "identity"]
         content = {
@@ -264,6 +273,18 @@ class TestCheckpointMismatch:
             # no array follows: the loader must not size one for it
             "huge-layer": self._file({"input_dim": 66,
                                       "layers": [["gru", 10 ** 12], out]}),
+            # sizes must be integers, not numbers that int() truncates
+            "float-input-dim": self._sized(
+                {"input_dim": 66.5, "layers": [["gru", 8], out]},
+                _net(66, GRU(8))),
+            "float-units": self._sized(
+                {"input_dim": 66, "layers": [["gru", 8],
+                                             ["dense", 1.5, "identity"], out]},
+                NetworkSpec(66, (GRU(8), Dense(1, "identity"),
+                                 Dense(54, "identity")))),
+            "bool-units": self._sized(
+                {"input_dim": 66, "layers": [["gru", True], out]},
+                _net(66, GRU(1))),
         }[defect]
         path = tmp_path / "net.qnet"
         path.write_bytes(content)

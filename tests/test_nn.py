@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -326,6 +327,17 @@ class TestCheckpoint:
         path = tmp_path / "bad.qnet"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("input_dim", [True, 2.0, 2.9])
+    def test_non_integer_input_dim_rejected(self, tmp_path, input_dim):
+        # the parameter bytes fit the net that int(input_dim) would give
+        blob = json.dumps({"input_dim": input_dim,
+                           "layers": [["dense", 1, "identity"]]}).encode()
+        path = tmp_path / "size.qnet"
+        path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob))
+                         + blob + bytes(8 * (int(input_dim) + 1)))
+        with pytest.raises(CheckpointError, match="not an integer"):
             load_checkpoint(path)
 
     def test_truncated_rejected(self, tmp_path):
