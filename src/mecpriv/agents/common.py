@@ -1,7 +1,8 @@
-"""Shared agent machinery: configuration, encodings, exploration."""
+"""Shared agent machinery: configuration, schedules, encodings."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,41 +81,35 @@ def obs_dim(p: EnvParams) -> int:
     return state_dim(p) + p.n_actions
 
 
+@lru_cache(maxsize=None)
+def input_table(p: EnvParams) -> np.ndarray:
+    """Every observation of p, read-only: entry [s, prev + 1] is state s
+    one-hot in d, b and g, then the previous action prev one-hot (none
+    for prev = -1)."""
+    m = mdp(p)
+    x = np.zeros((p.n_states, p.n_actions + 1, obs_dim(p)))
+    s = np.arange(p.n_states)
+    for col in (m.d, p.d_max + 1 + m.b, p.d_max + p.b_max + 2 + m.g):
+        x[s, :, col] = 1.0
+    x[:, 1:, state_dim(p):] = np.eye(p.n_actions)
+    x.flags.writeable = False
+    return x
+
+
 def encode(s, p: EnvParams, prev=None) -> np.ndarray:
     """One-hot encoding of state ids, and of previous actions if prev is
     given.
 
     s is a state id or an array of them; the result has its shape plus an
     axis of width state_dim (or obs_dim with prev). An entry of -1 in prev
-    means no previous action: its one-hot is all zeros.
+    means no previous action: its one-hot is all zeros. The rows are
+    gathered from one cached table per EnvParams; scalar ids get a
+    read-only view of it.
     """
-    m = mdp(p)
-    s = np.asarray(s)
-    width = state_dim(p) if prev is None else obs_dim(p)
-    x = np.zeros(s.shape + (width,))
-    flat = x.reshape(-1, width)
-    rows = np.arange(len(flat))
-    s = s.ravel()
-    flat[rows, m.d[s]] = 1.0
-    flat[rows, p.d_max + 1 + m.b[s]] = 1.0
-    flat[rows, p.d_max + p.b_max + 2 + m.g[s]] = 1.0
-    if prev is not None:
-        prev = np.ravel(prev)
-        on = prev >= 0
-        flat[rows[on], state_dim(p) + prev[on]] = 1.0
-    return x
-
-
-def epsilon_greedy(q_values: np.ndarray, valid_mask: np.ndarray, eps: float,
-                   rng: np.random.Generator) -> int:
-    """Masked epsilon-greedy pick; greedy ties go to the lowest index."""
-    valid_idx = np.flatnonzero(valid_mask)
-    if valid_idx.size == 0:
-        raise ValueError("no valid action available")
-    if eps > 0.0 and rng.random() < eps:
-        return int(valid_idx[rng.integers(0, valid_idx.size)])
-    masked = np.where(valid_mask, q_values, -np.inf)
-    return int(np.argmax(masked))
+    x = input_table(p)
+    if prev is None:
+        return x[s, 0, :state_dim(p)]
+    return x[s, np.add(prev, 1)]
 
 
 def network_spec(p: EnvParams, cfg: AgentConfig,

@@ -14,50 +14,60 @@ import numpy as np
 
 from ..env import EnvParams, mdp
 from ..nn import backward, forward, forward_step, init_hidden
-from .common import (AgentConfig, encode, loss_gradient, masked_max,
-                     obs_dim)
+from .common import (AgentConfig, encode, input_table, loss_gradient,
+                     masked_max, obs_dim)
 
 
 class QPolicy:
-    """Greedy policy of a Q-net, acting on lanes; ties go to the lowest
-    action id. A net on the observation encoding also reads each lane's
-    previous action, and its hidden state threads across an episode."""
+    """The masked epsilon-greedy policy of a Q-net; greedy ties go to the
+    lowest action id. act is the greedy pick on lanes; explore, the
+    trainer's act, plays one lane epsilon-greedily. A net on the
+    observation encoding also reads each lane's previous action, and its
+    hidden state threads across an episode."""
 
     tabular = False
 
     def __init__(self, spec, params, env: EnvParams):
         self.spec = spec
         self.params = params
+        self._env = env
         self._reads_prev = spec.input_dim == obs_dim(env)
         self._valid = mdp(env).valid
-        # Every input the net can see, encoded once: by state id, and by
-        # the previous action's id + 1 (0 for none) if the net reads it.
-        s = np.arange(env.n_states)
-        if self._reads_prev:
-            s, prev = np.meshgrid(s, np.arange(-1, env.n_actions),
-                                  indexing="ij")
-            self._x = encode(s, env, prev)
-        else:
-            self._x = encode(s, env)
+        # Build the cached table now, before a trainer's own arrays: built
+        # at the first act, paper-scale training's peak RSS rose 0.7 MiB.
+        input_table(env)
         self.reset(1)
 
     def reset(self, lanes: int) -> None:
         self._h = init_hidden(self.spec, lanes)
-        self.prev = np.full(lanes, -1)
+        self._prev = np.full(lanes, -1)  # each lane's last action, -1: none
 
-    def values(self, s: np.ndarray) -> np.ndarray:
-        """Step the net on each lane's state id; (lanes, n_actions) Q
-        values. prev, each lane's previous action id (-1 at an episode
-        start), is set by act, or by a trainer that explores."""
-        x = self._x[s, self.prev + 1] if self._reads_prev else self._x[s]
+    def _q(self, s: np.ndarray) -> np.ndarray:
+        """Step the net on each lane's state id; (lanes, n_actions)."""
+        x = encode(s, self._env, self._prev if self._reads_prev else None)
         q, self._h = forward_step(self.spec, self.params, x, self._h)
         return q
 
     def act(self, s, coin=None, pick=None) -> np.ndarray:
         """Each lane's best valid action; the uniforms go unused."""
-        self.prev = np.where(self._valid[s], self.values(s),
-                             -np.inf).argmax(axis=1)
-        return self.prev
+        self._prev = np.where(self._valid[s], self._q(s),
+                              -np.inf).argmax(axis=1)
+        return self._prev
+
+    def explore(self, s: int, eps: float, rng: np.random.Generator) -> int:
+        """The one lane's act on state id s: after the net's step, with
+        probability eps a uniform valid action, drawn from rng (a uniform,
+        then an index into the ascending valid ids), else the best valid
+        one. rng is not touched at eps 0."""
+        q = self._q(np.array([s]))[0]  # one row, no twin lane
+        valid = self._valid[s]
+        if eps > 0.0 and rng.random() < eps:
+            ids = np.flatnonzero(valid)
+            a = ids[rng.integers(0, ids.size)]
+        else:
+            a = np.where(valid, q, -np.inf).argmax()
+        self._prev[0] = a
+        return int(a)
 
 
 def q_update(spec, params, target_params, opt, batch, env: EnvParams,

@@ -66,8 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--checkpoint", type=Path)
     at.add_argument("--steps", type=int, default=100_000,
                     help="rollout length for each of the fit and eval traces")
-    sub.add_parser("gradcheck", parents=[common],
-                   help="finite-difference check of the network gradients")
+    gc = sub.add_parser("gradcheck",
+                        help="finite-difference check of the network gradients")
+    gc.add_argument("--seed", type=int, default=7,
+                    help="seed of the checked nets' parameters and data")
     sub.add_parser("validate-config", parents=[common],
                    help="parse and validate a config file")
     return parser
@@ -238,7 +240,9 @@ def cmd_attack(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 7
+    seed = args.seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     dense_spec = NetworkSpec(input_dim=6, layers=(
         Dense(8, "relu"), Dense(8, "relu"), Dense(4, "identity")))
     gru_spec = NetworkSpec(input_dim=5, layers=(

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..agents import (AgentConfig, EpisodeBuffer, QPolicy, TrainResult,
                       TransitionBuffer, epsilon_at, network_spec, q_update)
-from ..agents.common import RewardBaseline, alpha_at, epsilon_greedy
+from ..agents.common import RewardBaseline, alpha_at
 from ..baselines import Policy
 from ..env import (EnvParams, mdp, reward, sample_initial_state, state_id,
                    step)
@@ -239,7 +239,6 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
     grad_steps = 0
     states = np.empty(env.episode_len + 1, dtype=np.int64)
     actions = np.empty(env.episode_len, dtype=np.int64)
-    valid = mdp(env).valid
     for ep in range(cfg.episodes):
         eps = epsilon_at(cfg, ep)
         opt.lr = alpha_at(cfg, ep)
@@ -249,9 +248,7 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
         states[0] = sample_initial_state(rng, env)
         for n in range(env.episode_len):
             # Per slot, the act's draws and then the step's.
-            q = actor.values(states[n:n + 1])[0]
-            actor.prev[0] = actions[n] = epsilon_greedy(
-                q, valid[states[n]], eps, rng)
+            actions[n] = actor.explore(states[n], eps, rng)
             states[n + 1] = step(states[n], actions[n], rng, env)
             update = n % cfg.update_every == 0
             if not update and n + 1 < env.episode_len:

@@ -51,5 +51,5 @@ def _run_cells(fn, cells, jobs: int):
     if jobs <= 1 or len(cells) <= 1:
         return [fn(cell) for cell in cells]
     from concurrent.futures import ProcessPoolExecutor  # not at startup
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         return list(pool.map(fn, cells))

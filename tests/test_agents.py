@@ -5,15 +5,14 @@ import pytest
 
 from mecpriv.agents import (AgentConfig, EpisodeBuffer, QPolicy,
                             TransitionBuffer, encode, epsilon_at,
-                            epsilon_greedy, network_spec, obs_dim, q_update,
-                            state_dim)
+                            network_spec, obs_dim, q_update, state_dim)
 from mecpriv.agents.common import RewardBaseline, alpha_at, loss_gradient
 from mecpriv.baselines import GreedyPolicy
 from mecpriv.env import (EnvParams, mdp, reward, sample_initial_state,
                          state_id, step)
 from mecpriv.harness import desk_agent, desk_env, evaluate, train
-from mecpriv.nn import (Adam, backward, clone_params, forward, forward_step,
-                        init_params, polyak_update)
+from mecpriv.nn import (Adam, Dense, NetworkSpec, backward, clone_params,
+                        forward, forward_step, init_params, polyak_update)
 from mecpriv.nn.network import zeros_like_params
 
 from conftest import action_id
@@ -26,6 +25,26 @@ TINY_DQN = AgentConfig(episodes=3, batch_size=8, buffer_capacity=200,
 TINY_DRQN = AgentConfig(episodes=3, batch_size=4, buffer_capacity=400,
                         seq_len=8, tbptt_len=4, gru_layers=1, gru_units=8,
                         dense_layers=1, dense_units=8, update_every=4)
+
+
+def scatter_encode(s, p, prev=None):
+    """The encoder as it was before the input table: one-hots scattered
+    into zeros, row by row."""
+    m = mdp(p)
+    s = np.asarray(s)
+    width = state_dim(p) if prev is None else obs_dim(p)
+    x = np.zeros(s.shape + (width,))
+    flat = x.reshape(-1, width)
+    rows = np.arange(len(flat))
+    s = s.ravel()
+    flat[rows, m.d[s]] = 1.0
+    flat[rows, p.d_max + 1 + m.b[s]] = 1.0
+    flat[rows, p.d_max + p.b_max + 2 + m.g[s]] = 1.0
+    if prev is not None:
+        prev = np.ravel(prev)
+        on = prev >= 0
+        flat[rows[on], state_dim(p) + prev[on]] = 1.0
+    return x
 
 
 class TestEncoding:
@@ -56,6 +75,21 @@ class TestEncoding:
                 for a in [-1, *range(P.n_actions)]}
         assert len(seen) == P.n_actions + 1
 
+    @pytest.mark.parametrize("p", [P, EnvParams(d_max=1, b_max=0),
+                                   EnvParams(d_max=0, b_max=2)],
+                             ids=["default", "b_max-0", "d_max-0"])
+    def test_equals_scatter_oracle_on_every_input(self, p):
+        s, prev = np.meshgrid(np.arange(p.n_states),
+                              np.arange(-1, p.n_actions), indexing="ij")
+        for got, want in ((encode(s, p, prev), scatter_encode(s, p, prev)),
+                          (encode(s[:, 0], p), scatter_encode(s[:, 0], p))):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for si, pi in zip(s.ravel().tolist(), prev.ravel().tolist()):
+            assert encode(si, p, pi).tobytes() == \
+                scatter_encode(si, p, pi).tobytes()
+            assert encode(si, p).tobytes() == scatter_encode(si, p).tobytes()
+
     def test_arrays_encode_like_scalars(self):
         rng = np.random.default_rng(8)
         d, b, g = (rng.integers(0, n, size=(5, 3)) for n in (4, 6, 2))
@@ -68,39 +102,87 @@ class TestEncoding:
                 assert np.array_equal(x[i, j], encode(s[i, j], P, prev[i, j]))
 
 
+def bias_policy(q):
+    """A QPolicy on the state encoding whose net is one identity Dense
+    layer with zero weights, so its biases q are the Q values of every
+    state."""
+    spec = NetworkSpec(input_dim=state_dim(P),
+                       layers=(Dense(P.n_actions, "identity"),))
+    params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
+    params[0]["b"][:] = q
+    return QPolicy(spec, params, P)
+
+
 class TestEpsilonGreedy:
+    S = state_id(1, 2, 0, P)  # valid: q + t <= 3
+    VALID = np.flatnonzero(mdp(P).valid[S])
+
     def test_greedy_picks_argmax(self):
-        rng = np.random.default_rng(0)
-        q = np.array([1.0, 3.0, 2.0])
-        mask = np.array([True, True, True])
-        assert epsilon_greedy(q, mask, 0.0, rng) == 1
+        q = np.zeros(P.n_actions)
+        q[self.VALID[4]] = 3.0
+        q[self.VALID[2]] = 2.0
+        assert bias_policy(q).explore(self.S, 0.0, None) == self.VALID[4]
 
     def test_greedy_respects_mask(self):
-        rng = np.random.default_rng(0)
-        q = np.array([1.0, 3.0, 2.0])
-        mask = np.array([True, False, True])
-        assert epsilon_greedy(q, mask, 0.0, rng) == 2
+        q = np.zeros(P.n_actions)
+        q[~mdp(P).valid[self.S]] = 9.0
+        q[self.VALID[3]] = 1.0
+        assert bias_policy(q).explore(self.S, 0.0, None) == self.VALID[3]
 
     def test_ties_break_low(self):
-        rng = np.random.default_rng(0)
-        q = np.zeros(4)
-        mask = np.array([False, True, True, True])
-        assert epsilon_greedy(q, mask, 0.0, rng) == 1
+        q = np.full(P.n_actions, 2.0)  # every invalid action beats them
+        q[self.VALID] = 0.0
+        q[self.VALID[3:]] = 1.0
+        assert bias_policy(q).explore(self.S, 0.0, None) == self.VALID[3]
 
     def test_full_exploration_uniform(self):
-        rng = np.random.default_rng(1)
-        mask = np.array([True, False, True, True, False])
-        counts = np.zeros(5)
-        n = 100_000
-        for _ in range(n):
-            counts[epsilon_greedy(np.zeros(5), mask, 1.0, rng)] += 1
-        assert counts[1] == counts[4] == 0
-        assert np.all(np.abs(counts[[0, 2, 3]] / n - 1 / 3) < 0.01)
+        # the draws are a uniform and then an index into the ascending
+        # valid ids, whatever the Q values
+        rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+        q = np.zeros(P.n_actions)
+        q[self.VALID[0]] = 1.0
+        pol = bias_policy(q)
+        n = 6000
+        acts = [pol.explore(self.S, 1.0, rng) for _ in range(n)]
+        for a in acts:
+            twin.random()  # the explore coin, always below eps = 1
+            assert a == self.VALID[twin.integers(0, len(self.VALID))]
+        counts = np.bincount(acts, minlength=P.n_actions)
+        assert np.flatnonzero(counts).tolist() == self.VALID.tolist()
+        assert np.all(np.abs(counts[self.VALID] / n - 1 / len(self.VALID))
+                      < 0.02)
 
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            epsilon_greedy(np.zeros(3), np.zeros(3, dtype=bool), 0.5,
-                           np.random.default_rng(0))
+    def test_no_draw_at_epsilon_zero(self):
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        pol = bias_policy(np.arange(P.n_actions, dtype=float))
+        for s in range(P.n_states):
+            pol.explore(s, 0.0, rng)
+        assert rng.bit_generator.state == before
+
+    def test_next_input_carries_explored_action(self):
+        spec = network_spec(P, TINY_DRQN, True)
+        params = init_params(spec, np.random.default_rng(3))
+        s0, s1 = state_id(3, 5, 1, P), state_id(2, 1, 0, P)
+        pol = QPolicy(spec, params, P)
+        pol.reset(1)
+        greedy = pol.explore(s0, 0.0, None)
+        pol.reset(1)
+        a0 = pol.explore(s0, 1.0, np.random.default_rng(5))
+        assert a0 != greedy
+        a1 = pol.explore(s1, 0.0, None)
+        # the same two slots stepped through forward_step by hand
+        _, h = forward_step(spec, params, encode(s0, P, -1)[None], None)
+        q, h = forward_step(spec, params, encode(s1, P, a0)[None], h)
+        assert a1 == np.argmax(np.where(mdp(P).valid[s1], q[0], -np.inf))
+        assert [v.tobytes() for v in pol._h] == [v.tobytes() for v in h]
+
+    @pytest.mark.parametrize("p", [EnvParams(d_max=0), EnvParams(b_max=0)],
+                             ids=["d_max-0", "b_max-0"])
+    def test_every_state_has_a_valid_action(self, p):
+        # action 0, nothing offloaded or queued, is valid in every state,
+        # so explore always has a valid action to play
+        assert mdp(p).valid[:, 0].all()
 
     def test_epsilon_schedule_formula(self):
         cfg = AgentConfig(epsilon_start=1.0, epsilon_decay=0.995,
@@ -488,12 +570,22 @@ class TestTraining:
 
 def epsilon_greedy_slots(actor, eps, env, rng):
     """The trainer's slot order: the initial state, then per slot the
-    act's draws and the step's; yields (state, action, next state)."""
-    actor.reset(1)
+    act's draws and the step's; yields (state, action, next state). Acts
+    with its own forward steps on actor's current params: after the
+    step, a uniform if eps > 0 and, if it falls below eps, an index into
+    the ascending valid ids; else the best valid action, ties low."""
+    m = mdp(env)
+    recurrent = actor.spec.input_dim == obs_dim(env)
+    h, a = None, -1
     s = sample_initial_state(rng, env)
     for _ in range(env.episode_len):
-        q = actor.values(np.array([s]))[0]
-        a = actor.prev[0] = epsilon_greedy(q, mdp(env).valid[s], eps, rng)
+        x = encode(s, env, a if recurrent else None)[None]
+        q, h = forward_step(actor.spec, actor.params, x, h)
+        valid = np.flatnonzero(m.valid[s])
+        if eps > 0.0 and rng.random() < eps:
+            a = int(valid[rng.integers(0, valid.size)])
+        else:
+            a = int(valid[np.argmax(q[0, valid])])
         s_next = step(s, a, rng, env)
         yield s, a, s_next
         s = s_next

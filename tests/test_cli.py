@@ -326,6 +326,21 @@ class TestGradcheck:
         assert "dense layers" in out and "gru layers" in out
         assert "passed" in out
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--seed", "3"], 0),
+        (["--seed", "-1"], 3),
+        (["--config", "none.ini"], 2),
+        (["--scale", "desk"], 2),
+        (["--agent", "dqn"], 2),
+        (["--lambda", "1"], 2),
+        (["--out", "out"], 2),
+    ], ids=["seed", "seed-negative", "config", "scale", "agent", "lambda",
+            "out"])
+    def test_takes_only_a_seed(self, tmp_path, monkeypatch, argv, code):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gradcheck", *argv]) == code
+        assert not any(tmp_path.iterdir())
+
 
 class TestEvaluate:
     def test_greedy_writes_deterministic_metrics(self, tmp_path):

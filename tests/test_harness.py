@@ -126,6 +126,33 @@ class TestSweeps:
         parallel = sweep_theta([0.0, 0.6], DESK, 3, (1, 2), jobs=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs, workers", [(64, 3), (2, 2)])
+    def test_workers_capped_at_cells(self, monkeypatch, jobs, workers):
+        # a fork pool starts all its workers at the first submit, so the
+        # pool must not be asked for more workers than there are cells
+        import concurrent.futures
+
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        rows = sweep_theta([0.0, 0.5, 1.0], DESK, 1, (1,), jobs=jobs)
+        assert seen == [workers]
+        assert rows == sweep_theta([0.0, 0.5, 1.0], DESK, 1, (1,))
+
     def test_lambda_sweep_smoke(self, tmp_path):
         env = dataclasses.replace(DESK, episode_len=60, window=8)
         cfg = desk_agent("drqn", episodes=2, batch_size=4, seq_len=8,
