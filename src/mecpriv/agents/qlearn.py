@@ -1,10 +1,13 @@
 """Q-learning with replay and soft targets, feed-forward or recurrent.
 
-A batch is B sequences of T slots. The update zeroes the hidden state at
-each sequence start, burns it in with forward passes and puts the TD loss
-only on the final truncation bundle of L = min(tbptt_len, T) slots. Hidden
-values cross the bundle boundary, gradients do not. The bootstrap side
-threads the target net's own hidden state over the next-state sequence.
+A batch is B sequences of T slots, as the replay store's state and action
+ids. The update zeroes the hidden state at each sequence start, burns it
+in with hidden-only forward passes and puts the TD loss only on the final
+truncation bundle of L = min(tbptt_len, T) slots. Hidden values cross the
+bundle boundary, gradients do not. The bootstrap side threads the target
+net's own hidden state over the next-state sequence. The target net reads
+the online net's input one slot later, so the burn-in encodes burn + 1
+slots and the loss bundle L + 1, each only while its passes run.
 A DQN is the case T = 1 on a net with no GRU layer: no burn-in, and the
 loss on every sampled slot.
 """
@@ -14,8 +17,7 @@ import numpy as np
 
 from ..env import EnvParams, mdp
 from ..nn import backward, forward, forward_step, init_hidden
-from .common import (AgentConfig, encode, input_table, loss_gradient,
-                     masked_max, obs_dim)
+from .common import AgentConfig, encode, loss_gradient, masked_max, obs_dim
 
 
 class QPolicy:
@@ -33,9 +35,6 @@ class QPolicy:
         self._env = env
         self._reads_prev = spec.input_dim == obs_dim(env)
         self._valid = mdp(env).valid
-        # Build the cached table now, before a trainer's own arrays: built
-        # at the first act, paper-scale training's peak RSS rose 0.7 MiB.
-        input_table(env)
         self.reset(1)
 
     def reset(self, lanes: int) -> None:
@@ -74,23 +73,31 @@ def q_update(spec, params, target_params, opt, batch, env: EnvParams,
              cfg: AgentConfig, baseline: float = 0.0, scale: float = 1.0):
     """One gradient step on the mean TD loss; returns (params, loss).
 
-    batch is a replay store's (x_on, x_tg, acts, rews, next_ids), with
-    (T, B) actions. Rewards enter the TD targets as (r - baseline) / scale.
+    batch is a replay store's (s, prev, acts, rews): (T + 1, B) state ids,
+    previous actions of the same shape or None, and (T, B) actions and
+    rewards. Rewards enter the TD targets as (r - baseline) / scale.
     """
-    x_on, x_tg, acts, rews, next_ids = batch
+    s, prev, acts, rews = batch
     T, B = acts.shape
     L = min(cfg.tbptt_len, T)
     burn = T - L
+
+    def slots(lo, hi):
+        return encode(s[lo:hi], env, None if prev is None else prev[lo:hi])
+
     h_on = h_tg = None
     if burn > 0:
-        _, h_on, _ = forward(spec, params, x_on[:burn], collect_cache=False,
+        x = slots(0, burn + 1)
+        _, h_on, _ = forward(spec, params, x[:-1], collect_cache=False,
                              outputs=False)
-        _, h_tg, _ = forward(spec, target_params, x_tg[:burn],
+        _, h_tg, _ = forward(spec, target_params, x[1:],
                              collect_cache=False, outputs=False)
-    q_on, _, cache = forward(spec, params, x_on[burn:], h_on)
-    q_tg, _, _ = forward(spec, target_params, x_tg[burn:], h_tg,
-                         collect_cache=False)
-    best = masked_max(q_tg, next_ids[burn:], env)
+        del x  # dropped before the loss bundle's slots are encoded
+    x = slots(burn, T + 1)
+    # the target's pass first, so that only its maxima outlive it
+    best = masked_max(forward(spec, target_params, x[1:], h_tg,
+                              collect_cache=False)[0], s[burn + 1:], env)
+    q_on, _, cache = forward(spec, params, x[:-1], h_on)
     y = (rews[burn:] - baseline) / scale + cfg.gamma * best
     rows = np.arange(B)
     cols = acts[burn:]

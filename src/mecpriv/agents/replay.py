@@ -6,17 +6,16 @@ state after the chunk's last action. end_episode() closes an episode.
 Both keep one ring of slots, each slot's state, next state, action and
 reward at one ring position. The DRQN's ring holds whole episodes, each
 at a fixed run of positions, with room for one more: the episode being
-played. sample_batch hands out B sequences of T slots, encoded as (x_on,
-x_tg, acts, rews, next_ids): the online and target nets' inputs, (T, B)
-actions and rewards, and the state ids of the next states. The DQN's
-store samples sequences of T = 1.
+played. sample_batch hands out B sequences of T slots as ids, (s, prev,
+acts, rews): the (T + 1, B) state ids, each sequence's T states and then
+the state after its last action; the (T + 1, B) previous actions that a
+recurrent net's observation reads, or None; and the (T, B) actions and
+rewards. The learner encodes them. The DQN's store samples sequences of
+T = 1 with no previous actions.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from ..env import EnvParams
-from .common import encode
 
 
 class TransitionBuffer:
@@ -50,25 +49,20 @@ class TransitionBuffer:
     def end_episode(self) -> None:
         pass
 
-    def _batch(self, idx, env: EnvParams, prev=None):
+    def _batch(self, idx, prev=None):
         """The batch of the (T, B) ring positions idx, each column a run
-        of consecutive slots; prev actions are encoded if given.
-
-        The target net reads the next state, which is the online net's
-        input one slot later, so both are views of one (T + 1)-slot
-        encoding.
-        """
+        of consecutive slots; each next state is the state one slot later,
+        so the states take T + 1 rows."""
         s = np.vstack((self._states[0, idx], self._states[1, idx[-1:]]))
-        x = encode(s, env, prev)
-        return x[:-1], x[1:], self._actions[idx], self._rewards[idx], s[1:]
+        return s, prev, self._actions[idx], self._rewards[idx]
 
-    def sample_batch(self, cfg, env: EnvParams, rng: np.random.Generator):
+    def sample_batch(self, cfg, rng: np.random.Generator):
         """batch_size one-slot sequences drawn uniformly with replacement,
         or None while fewer slots are stored."""
         n = len(self)
         if n < cfg.batch_size:
             return None
-        return self._batch(rng.integers(0, n, size=(1, cfg.batch_size)), env)
+        return self._batch(rng.integers(0, n, size=(1, cfg.batch_size)))
 
 
 class EpisodeBuffer(TransitionBuffer):
@@ -90,10 +84,9 @@ class EpisodeBuffer(TransitionBuffer):
     def end_episode(self) -> None:
         self._closed += 1
 
-    def sample_batch(self, cfg, env: EnvParams, rng: np.random.Generator):
+    def sample_batch(self, cfg, rng: np.random.Generator):
         """batch_size windows of seq_len slots, or None until an episode is
-        stored. The observations carry the previous action, none (-1) at
-        an episode start."""
+        stored. The previous actions are none (-1) at an episode start."""
         L = self._episode_len
         runs = self.capacity // L
         kept = min(self._closed, runs - 1)
@@ -110,4 +103,4 @@ class EpisodeBuffer(TransitionBuffer):
         idx = first + np.arange(T)[:, None]
         prev = np.vstack((np.where(start > 0, self._actions[first - 1], -1),
                           self._actions[idx]))
-        return self._batch(idx, env, prev)
+        return self._batch(idx, prev)

@@ -266,7 +266,7 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
                 total += r_i
             scored_to = n + 1
             if update and \
-                    (batch := replay.sample_batch(cfg, env, rng)) is not None:
+                    (batch := replay.sample_batch(cfg, rng)) is not None:
                 actor.params, _ = q_update(
                     spec, actor.params, target, opt, batch, env, cfg,
                     baseline.value, baseline.scale)

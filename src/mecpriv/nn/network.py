@@ -4,10 +4,19 @@ Everything is float64 and functional: parameters are a list of per-layer
 dicts of arrays, forward returns an opaque cache, backward turns a cache
 plus output gradients into parameter gradients of the same structure.
 A dense layer has w (D, n) and b (n); a GRU layer has its three gates side
-by side, z | r | h, in w (D, 3n), u (n, 3n) and b (3n).
+by side, z | r | h, in w (D, 3n), u (n, 3n) and b (3n). The GRU layers
+come first, so a pass steps the whole GRU stack once per timestep and then
+runs the dense head over the top layer's outputs.
 Inputs are shaped (T, B, D): sequence length, batch, feature dim. A hidden
 state passed into forward is treated as a constant, which is what makes
 truncated backpropagation a matter of calling forward per bundle.
+
+The cache holds each activation once. A GRU layer's steps write in place
+into preallocated blocks: its states hs (T + 1, B, n) with hs[0] the
+initial state, its gates z | r (T, B, 2n) and its candidates hc (T, B, n);
+its input is the layer below's states, a view. A dense layer keeps its
+input and, for a relu, its output. A hidden-only pass (a burn-in) keeps
+just each layer's running (B, n) state.
 """
 from __future__ import annotations
 
@@ -52,6 +61,9 @@ class NetworkSpec:
         last = self.layers[-1]
         if not isinstance(last, Dense) or last.activation != "identity":
             raise ValueError("last layer must be Dense with identity activation")
+        n_gru = len(self.gru_units)
+        if any(isinstance(layer, Dense) for layer in self.layers[:n_gru]):
+            raise ValueError("GRU layers must come before dense layers")
 
     @property
     def output_dim(self) -> int:
@@ -127,14 +139,20 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
 
 
 def _dense_step(p, layer: Dense, x):
-    u = x @ p["w"] + p["b"]
+    y = x @ p["w"]
+    y += p["b"]
     if layer.activation == "relu":
-        return np.maximum(u, 0.0), (x, u)
-    return u, (x, None)
+        np.maximum(y, 0.0, out=y)
+        return y, (x, y)
+    return y, (x, None)
 
 
-def _gru_step(p, x, h):
-    """One GRU timestep."""
+def _gru_step(p, x, h, zr=None, hc=None, out=None):
+    """One GRU timestep; returns the new hidden state.
+
+    zr (B, 2n), hc (B, n) and out (B, n) are optional arrays to write the
+    gates z | r, the candidate and the new state into; out must not be h.
+    """
     n = h.shape[1]
     w, u, b = p["w"], p["u"], p["b"]
     xw = x @ w
@@ -143,26 +161,26 @@ def _gru_step(p, x, h):
     # bits are those of the textbook order. BLAS computes each output
     # column of a product on its own, so a product over side-by-side gates
     # gives each gate the bits of its own product (tests/test_nn.py).
-    zr = h @ u[:, :2 * n]
+    zr = np.matmul(h, u[:, :2 * n], out=zr)
     zr += xw[:, :2 * n]
     zr += b[:2 * n]
     _sigmoid_(zr)
     z, r = zr[:, :n], zr[:, n:]
-    hc = (r * h) @ u[:, 2 * n:]
+    hc = np.matmul(r * h, u[:, 2 * n:], out=hc)
     hc += xw[:, 2 * n:]
     hc += b[2 * n:]
     np.tanh(hc, out=hc)
-    h_new = 1.0 - z
+    h_new = np.subtract(1.0, z, out=out)
     h_new *= h
     h_new += z * hc
-    return h_new, (x, h, z, r, hc)
+    return h_new
 
 
 @dataclass
 class Cache:
     spec: NetworkSpec
     params: Params
-    layers: list  # per layer: GRU -> list of per-step tuples, Dense -> tensors
+    layers: list  # per layer: GRU -> (x, hs, zr, hc), Dense -> (x, y)
     seq_len: int
     batch: int
 
@@ -174,10 +192,11 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
 
     Returns (outputs (T, B, out), final hidden list, cache or None). The
     initial hidden state defaults to zeros and is not differentiated
-    through by backward. Layers are processed whole-sequence at a time:
-    only GRU layers loop over timesteps, dense layers are one matmul.
-    With outputs=False (no cache) the pass stops after the last GRU layer
-    and returns None for the outputs: a burn-in needs the hidden state only.
+    through by backward. Each timestep steps the whole GRU stack; the dense
+    head then takes the top GRU layer's (T, B, n) outputs in one matmul per
+    layer. With outputs=False (no cache) only each GRU layer's running
+    state is kept and the outputs are None: a burn-in needs the hidden
+    state only.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[2] != spec.input_dim:
@@ -186,42 +205,41 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
     if collect_cache and not outputs:
         raise ValueError("a cached pass needs its outputs")
     T, B, _ = xs.shape
+    units = spec.gru_units
     if h0 is None:
-        h_list = init_hidden(spec, B)
-    else:
-        expected = spec.gru_units
-        if len(h0) != len(expected) or any(
-                v.shape != (B, u) for v, u in zip(h0, expected)):
-            raise ValueError("hidden state shapes do not match spec")
-        h_list = [v.copy() for v in h0]
-    cur = xs
-    h_final: list[np.ndarray] = []
-    layer_caches = [] if collect_cache else None
-    gi = 0
-    n_gru = len(h_list)
-    for li, layer in enumerate(spec.layers):
-        if isinstance(layer, GRU):
-            h = h_list[gi]
-            outs = np.empty((T, B, layer.units), dtype=np.float64)
-            steps = [] if collect_cache else None
-            for t in range(T):
-                h, c = _gru_step(params[li], cur[t], h)
-                outs[t] = h
-                if collect_cache:
-                    steps.append(c)
-            h_final.append(h)
-            gi += 1
-            cur = outs
-            if collect_cache:
-                layer_caches.append(steps)
-            if not outputs and gi == n_gru:
-                return None, h_final, None
-        else:
-            cur, c = _dense_step(params[li], layer, cur)
-            if collect_cache:
-                layer_caches.append(c)
-    cache = Cache(spec, params, layer_caches, T, B) if collect_cache else None
-    return (cur if outputs else None), h_final, cache
+        h0 = init_hidden(spec, B)
+    elif len(h0) != len(units) or any(
+            v.shape != (B, n) for v, n in zip(h0, units)):
+        raise ValueError("hidden state shapes do not match spec")
+    # Per GRU layer, the blocks its steps write: states (T + 1, B, n) from
+    # the initial one on, gates z | r (T, B, 2n) and candidates (T, B, n).
+    # A row of `none` is None: that step allocates its own array.
+    none = [None] * (T + 1)
+    blocks = []
+    for i, n in enumerate(units):
+        keep_h = collect_cache or (outputs and i == len(units) - 1)
+        hs = np.empty((T + 1, B, n)) if keep_h else none
+        if keep_h:
+            hs[0] = h0[i]
+        blocks.append((hs, np.empty((T, B, 2 * n)), np.empty((T, B, n)))
+                      if collect_cache else (hs, none, none))
+    h = list(h0)
+    for t in range(T):
+        x = xs[t]
+        for i, (hs, zr, hc) in enumerate(blocks):  # GRU layers come first
+            x = h[i] = _gru_step(params[i], x, h[i], zr[t], hc[t], hs[t + 1])
+    if not outputs:
+        return None, h, None
+    cur = blocks[-1][0][1:] if blocks else xs
+    # a GRU layer's input is the network's, then the layer below's states
+    ins = [xs] + [hs[1:] for hs, _, _ in blocks[:-1]] if collect_cache else []
+    layer_caches = [(x, *blk) for x, blk in zip(ins, blocks)]
+    for li in range(len(blocks), len(spec.layers)):
+        cur, c = _dense_step(params[li], spec.layers[li], cur)
+        layer_caches.append(c)
+    cache = (Cache(spec, params, layer_caches, T, B) if collect_cache
+             else None)
+    return cur, h, cache
 
 
 def forward_step(spec: NetworkSpec, params: Params, x: np.ndarray,
@@ -250,13 +268,13 @@ def backward(cache: Cache, grad_out: np.ndarray) -> Params:
         layer = spec.layers[li]
         need_dx = li > 0  # the network input's gradient is never used
         if isinstance(layer, GRU):
-            steps = cache.layers[li]
-            dxs = (np.empty((T, cache.batch, steps[0][0].shape[1]))
-                   if need_dx else None)
+            xs, hs, zr, hc = cache.layers[li]
+            dxs = np.empty(xs.shape) if need_dx else None
             dh_carry = np.zeros((cache.batch, layer.units))
             for t in range(T - 1, -1, -1):
-                dx, dh_carry = _gru_backward(params[li], grads[li], steps[t],
-                                             d_cur[t] + dh_carry, need_dx)
+                dx, dh_carry = _gru_backward(
+                    params[li], grads[li], (xs[t], hs[t], zr[t], hc[t]),
+                    d_cur[t] + dh_carry, need_dx)
                 if need_dx:
                     dxs[t] = dx
             d_cur = dxs
@@ -267,8 +285,9 @@ def backward(cache: Cache, grad_out: np.ndarray) -> Params:
 
 
 def _dense_backward(p, g, layer: Dense, c, dy, need_dx: bool = True):
-    x, u = c
-    du = dy * (u > 0.0) if layer.activation == "relu" else dy
+    x, y = c
+    # a relu caches its output: y > 0 exactly where its input was > 0
+    du = dy * (y > 0.0) if layer.activation == "relu" else dy
     flat_x = x.reshape(-1, x.shape[-1])
     flat_du = du.reshape(-1, du.shape[-1])
     g["w"] += flat_x.T @ flat_du
@@ -281,10 +300,11 @@ def _gru_backward(p, g, c, dh_total, need_dx: bool = True):
 
     The gates' pre-activation gradients sit side by side in d_in, z | r | h
     as in the parameters, so each parameter takes one product or sum.
-    dx is None when need_dx is False.
+    c is the step's (x, h, z | r, hc). dx is None when need_dx is False.
     """
-    x, h, z, r, hc = c
+    x, h, zr, hc = c
     n = h.shape[1]
+    z, r = zr[:, :n], zr[:, n:]
     w, u = p["w"], p["u"]
     d_in = np.empty((h.shape[0], 3 * n))
     dzin, drin, dhin = d_in[:, :n], d_in[:, n:2 * n], d_in[:, 2 * n:]

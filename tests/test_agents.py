@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from mecpriv.agents import (AgentConfig, EpisodeBuffer, QPolicy,
                             TransitionBuffer, encode, epsilon_at,
                             network_spec, obs_dim, q_update, state_dim)
-from mecpriv.agents.common import RewardBaseline, alpha_at, loss_gradient
+from mecpriv.agents.common import (RewardBaseline, alpha_at, loss_gradient,
+                                   masked_max)
 from mecpriv.baselines import GreedyPolicy
 from mecpriv.env import (EnvParams, mdp, reward, sample_initial_state,
                          state_id, step)
@@ -203,10 +205,8 @@ class TestEpsilonGreedy:
 
 
 def one_slot_batch(s, a, r, s_next):
-    """A batch (x_on, x_tg, acts, rews, next_ids) of one one-slot sequence."""
-    x = encode([s, s_next], P)
-    return (x[:1, None], x[1:, None], np.array([[a]]), np.array([[r]]),
-            np.array([[s_next]]))
+    """A batch (s, prev, acts, rews) of one one-slot sequence."""
+    return np.array([[s], [s_next]]), None, np.array([[a]]), np.array([[r]])
 
 
 def constant_q(spec, value):
@@ -236,6 +236,34 @@ def reference_dqn_update(spec, params, target_params, opt, transitions, env,
     err = out[0][rows, actions] - y
     dout = np.zeros_like(out)
     dout[0][rows, actions] = loss_gradient(err, cfg.loss)
+    return opt.step(params, backward(cache, dout)), float(np.mean(err * err))
+
+
+def one_array_update(spec, params, target_params, opt, batch, env, cfg,
+                     baseline, scale):
+    """The update as it was when the replay store handed out one encoding
+    of all T + 1 slots, which both nets' inputs viewed for the whole
+    update: burn-ins, then the online cached pass, then the target's."""
+    s, prev, acts, rews = batch
+    x = encode(s, env, prev)
+    x_on, x_tg = x[:-1], x[1:]
+    T, B = acts.shape
+    L = min(cfg.tbptt_len, T)
+    burn = T - L
+    h_on = h_tg = None
+    if burn > 0:
+        h_on = forward(spec, params, x_on[:burn], collect_cache=False)[1]
+        h_tg = forward(spec, target_params, x_tg[:burn],
+                       collect_cache=False)[1]
+    q_on, _, cache = forward(spec, params, x_on[burn:], h_on)
+    q_tg = forward(spec, target_params, x_tg[burn:], h_tg,
+                   collect_cache=False)[0]
+    y = (rews[burn:] - baseline) / scale + cfg.gamma * masked_max(
+        q_tg, s[burn + 1:], env)
+    kk, rows, cols = np.arange(L)[:, None], np.arange(B), acts[burn:]
+    err = q_on[kk, rows, cols] - y
+    dout = np.zeros_like(q_on)
+    dout[kk, rows, cols] = loss_gradient(err, cfg.loss)
     return opt.step(params, backward(cache, dout)), float(np.mean(err * err))
 
 
@@ -292,9 +320,10 @@ class TestTdTargets:
                            float(rng.normal()), int(rng.integers(48)))
             buf.extend([s, s2], [a], [r])
         cfg = dataclasses.replace(TINY_DQN, batch_size=64)
-        batch = buf.sample_batch(cfg, P, np.random.default_rng(1))
+        batch = buf.sample_batch(cfg, np.random.default_rng(1))
         _, loss = q_update(spec, params, target, Adam(0.1), batch, P, cfg)
-        x_on, x_tg, acts, rews, next_ids = batch
+        s, _, acts, rews = batch
+        x_on, x_tg, next_ids = encode(s[:-1], P), encode(s[1:], P), s[1:]
         errs = []
         for i in range(64):
             q = forward(spec, params, x_on[:, i:i + 1], collect_cache=False)
@@ -319,7 +348,7 @@ class TestTdTargets:
         for i, (s, a, s2) in enumerate(samples):
             buf.extend([s, s2], [a], [float(q_now[i, a])])
         cfg = dataclasses.replace(TINY_DQN, batch_size=16, gamma=0.0)
-        batch = buf.sample_batch(cfg, P, np.random.default_rng(0))
+        batch = buf.sample_batch(cfg, np.random.default_rng(0))
         new_params, loss = q_update(spec, params, params, Adam(0.1), batch,
                                     P, cfg)
         assert loss == 0.0
@@ -340,7 +369,7 @@ class TestTdTargets:
         ring = transitions[-32:]
         ring = ring[-(50 % 32):] + ring[:-(50 % 32)]  # by ring position
         cfg = dataclasses.replace(TINY_DQN, batch_size=20, loss=loss)
-        batch = buf.sample_batch(cfg, P, np.random.default_rng(3))
+        batch = buf.sample_batch(cfg, np.random.default_rng(3))
         drawn = np.random.default_rng(3).integers(0, 32, size=20)
         opts = (Adam(1e-2), Adam(1e-2))
         for _ in range(3):  # Adam's moments carry over between steps
@@ -354,11 +383,102 @@ class TestTdTargets:
                        for a, b in zip(got, want) for k in a)
             params = got
 
+    @pytest.mark.parametrize("loss", ["mse", "huber"])
+    @pytest.mark.parametrize("seq_len, tbptt_len", [(8, 3), (8, 8)],
+                             ids=["burn-in", "no-burn-in"])
+    def test_slab_encoding_equals_one_array_update_bitwise(
+            self, seq_len, tbptt_len, loss):
+        # q_update encodes the burn-in's and the loss bundle's slots apart;
+        # every float must be that of the one-array encoding
+        env = EnvParams(episode_len=12)
+        cfg = dataclasses.replace(TINY_DRQN, seq_len=seq_len,
+                                  tbptt_len=tbptt_len, batch_size=16,
+                                  loss=loss)
+        rng = np.random.default_rng(13)
+        spec = network_spec(env, cfg, True)
+        params, target = (init_params(spec, rng) for _ in range(2))
+        buf = EpisodeBuffer(24, 12)
+        for _ in range(2):
+            buf.extend(rng.integers(0, 48, 13), rng.integers(0, 54, 12),
+                       rng.normal(size=12))
+            buf.end_episode()
+        opts = (Adam(1e-2), Adam(1e-2))
+        for _ in range(3):
+            batch = buf.sample_batch(cfg, rng)
+            assert (batch[1][0] == -1).any()  # some window starts an episode
+            got, got_loss = q_update(spec, params, target, opts[0], batch,
+                                     env, cfg, 0.5, 1.5)
+            want, want_loss = one_array_update(spec, params, target, opts[1],
+                                               batch, env, cfg, 0.5, 1.5)
+            assert got_loss == want_loss
+            assert all(np.array_equal(a[k], b[k])
+                       for a, b in zip(got, want) for k in a)
+            params = got
+
     def test_loss_gradient_shapes(self):
         err = np.array([[1.0, -4.0]])
         assert np.allclose(loss_gradient(err, "mse"), err)
         assert np.allclose(loss_gradient(err, "huber"),
                            np.array([[0.5, -0.5]]))
+
+
+def traced_peak_mib(fn) -> float:
+    """The most memory that fn's allocations held at once, by tracemalloc,
+    above what was allocated when it was called."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestUpdateMemory:
+    """The paper-scale update (B 128, T 128, L 16, 3 x GRU(128) and
+    2 x Dense(128)) holds each activation once. Before, a burn-in kept
+    every GRU layer's (T, B, n) outputs, three 14 MiB arrays (a 44.2 MiB
+    peak), and the update kept one encoding of all T + 1 slots and every
+    hidden state twice (a peak of about 60 MiB)."""
+
+    ENV = EnvParams()
+    CFG = AgentConfig()
+
+    def net(self, rng):
+        spec = network_spec(self.ENV, self.CFG, True)
+        return spec, init_params(spec, rng), init_params(spec, rng)
+
+    def test_burn_in_keeps_only_the_hidden_state(self):
+        # about 1.8 MiB: each layer's (B, n) state and one step's temporaries
+        rng = np.random.default_rng(0)
+        spec, params, _ = self.net(rng)
+        shape = (self.CFG.seq_len - self.CFG.tbptt_len, self.CFG.batch_size)
+        xs = encode(rng.integers(0, self.ENV.n_states, shape), self.ENV,
+                    rng.integers(-1, self.ENV.n_actions, shape))
+        peak = traced_peak_mib(lambda: forward(
+            spec, params, xs, collect_cache=False, outputs=False))
+        assert peak < 4.0
+
+    def test_update_holds_each_activation_once(self):
+        # about 42.5 MiB with a fresh optimiser, as in a training run's first
+        # update: the cached loss bundle's states, gates and candidates
+        # (3 x 8.1 MiB), the dense head's outputs (4.8 MiB), the backward
+        # pass's gradients and Adam's first moments
+        rng = np.random.default_rng(1)
+        spec, params, target = self.net(rng)
+        L = self.ENV.episode_len
+        buf = EpisodeBuffer(L, L)
+        buf.extend(rng.integers(0, self.ENV.n_states, L + 1),
+                   rng.integers(0, self.ENV.n_actions, L), rng.normal(size=L))
+        buf.end_episode()
+        peak = traced_peak_mib(lambda: q_update(
+            spec, params, target, Adam(1e-4),
+            buf.sample_batch(self.CFG, rng), self.ENV, self.CFG))
+        assert peak < 50.0
 
 
 class TestReplay:
@@ -368,7 +488,7 @@ class TestReplay:
     def _ring_batch(buf, size):
         """A batch from buf and the ring positions its draws name."""
         cfg = AgentConfig(batch_size=size)
-        return (buf.sample_batch(cfg, P, np.random.default_rng(3)),
+        return (buf.sample_batch(cfg, np.random.default_rng(3)),
                 np.random.default_rng(3).integers(0, len(buf), size=size))
 
     def _slots(self, n):
@@ -383,7 +503,7 @@ class TestReplay:
             buf.extend([state_id(a % 4, 0, 0, P), self.S0], [a], [float(a)])
         assert len(buf) == 3
         # slots 3 and 4 overwrote ring positions 0 and 1
-        (_, _, acts, rews, _), drawn = self._ring_batch(buf, 3)
+        (_, _, acts, rews), drawn = self._ring_batch(buf, 3)
         assert len(set(drawn)) > 1
         assert np.array_equal(acts[0], np.array([3, 4, 2])[drawn])
         assert np.array_equal(rews[0], np.array([3.0, 4.0, 2.0])[drawn])
@@ -401,47 +521,49 @@ class TestReplay:
             lo += n
         for i in range(len(a)):
             single.extend(s[i:i + 2], a[i:i + 1], r[i:i + 1])
-        (x_on, x_tg, acts, rews, next_ids), drawn = self._ring_batch(
-            chunked, len(ring))
-        assert len(set(drawn)) > 1
+        batch, drawn = self._ring_batch(chunked, len(ring))
+        ids, prev, acts, rews = batch
+        assert len(set(drawn)) > 1 and prev is None
         assert np.array_equal(acts[0], np.array(ring)[drawn])
         assert np.array_equal(rews[0], np.array(ring, dtype=float)[drawn])
-        assert np.array_equal(next_ids[0], s[np.array(ring)[drawn] + 1])
+        assert np.array_equal(ids, s[np.array(ring)[drawn] + [[0], [1]]])
         want = self._ring_batch(single, len(ring))[0]
-        assert all(np.array_equal(u, v)
-                   for u, v in zip((x_on, x_tg, acts, rews, next_ids), want))
+        assert want[1] is None
+        assert all(np.array_equal(batch[k], want[k]) for k in (0, 2, 3))
 
     def test_sampling_reproducible(self):
         buf = TransitionBuffer(10)
         buf.extend(*self._slots(10))
         cfg = AgentConfig(batch_size=6)
-        a, b = (buf.sample_batch(cfg, P, np.random.default_rng(3))
+        a, b = (buf.sample_batch(cfg, np.random.default_rng(3))
                 for _ in range(2))
-        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        assert a[1] is None and b[1] is None
+        assert all(np.array_equal(a[k], b[k]) for k in (0, 2, 3))
 
     def test_empty_sample_rejected(self):
         # neither store hands out a batch before it can fill one
         cfg = AgentConfig(batch_size=2, seq_len=8, tbptt_len=4)
         rng = np.random.default_rng(0)
         buf = TransitionBuffer(4)
-        assert buf.sample_batch(cfg, P, rng) is None
+        assert buf.sample_batch(cfg, rng) is None
         buf.extend([self.S0, self.S0], [0], [0.0])
-        assert buf.sample_batch(cfg, P, rng) is None
+        assert buf.sample_batch(cfg, rng) is None
         episodes = EpisodeBuffer(100, 10)
-        assert episodes.sample_batch(cfg, P, rng) is None
+        assert episodes.sample_batch(cfg, rng) is None
         # an open episode is not sampled
         episodes.extend(*self._slots(10))
-        assert episodes.sample_batch(cfg, P, rng) is None
+        assert episodes.sample_batch(cfg, rng) is None
 
     def test_batches_encode_the_stored_slots(self):
         buf = TransitionBuffer(2)
         buf.extend([state_id(1, 2, 1, P), state_id(3, 4, 0, P)], [7], [0.5])
-        x_on, x_tg, acts, rews, next_ids = buf.sample_batch(
-            AgentConfig(batch_size=1), P, np.random.default_rng(0))
-        assert np.array_equal(x_on[0, 0], encode(state_id(1, 2, 1, P), P))
-        assert np.array_equal(x_tg[0, 0], encode(state_id(3, 4, 0, P), P))
+        s, prev, acts, rews = buf.sample_batch(
+            AgentConfig(batch_size=1), np.random.default_rng(0))
+        x = encode(s, P)
+        assert np.array_equal(x[0, 0], encode(state_id(1, 2, 1, P), P))
+        assert np.array_equal(x[1, 0], encode(state_id(3, 4, 0, P), P))
         assert (acts.shape, acts[0, 0], rews[0, 0]) == ((1, 1), 7, 0.5)
-        assert next_ids[0, 0] == state_id(3, 4, 0, P)
+        assert prev is None
 
     @staticmethod
     def _episode_batch(buf, kept, L, T, size=32, seed=1):
@@ -451,7 +573,7 @@ class TestReplay:
         rng = np.random.default_rng(seed)
         draws = [(int(rng.integers(0, kept)), int(rng.integers(0, L - T + 1)))
                  for _ in range(size)]
-        return buf.sample_batch(cfg, P, np.random.default_rng(seed)), draws
+        return buf.sample_batch(cfg, np.random.default_rng(seed)), draws
 
     def _tagged(self, buf, L, tag):
         """One closed episode whose every action is tag."""
@@ -463,7 +585,7 @@ class TestReplay:
         buf = EpisodeBuffer(100, 40)
         for tag in range(5):
             self._tagged(buf, 40, tag)
-        (_, _, acts, _, _), draws = self._episode_batch(buf, 2, 40, 40)
+        (_, _, acts, _), draws = self._episode_batch(buf, 2, 40, 40)
         assert {e for e, _ in draws} == {0, 1}
         assert np.array_equal(acts[0], np.array([3, 4])[[e for e, _ in draws]])
 
@@ -471,14 +593,14 @@ class TestReplay:
         buf = EpisodeBuffer(10, 40)
         for tag in range(3):
             self._tagged(buf, 40, tag)
-        (_, _, acts, _, _), _ = self._episode_batch(buf, 1, 40, 8)
+        (_, _, acts, _), _ = self._episode_batch(buf, 1, 40, 8)
         assert np.all(acts == 2)
 
     def test_window_bounds(self):
         buf = EpisodeBuffer(1000, 20)
         buf.extend(*self._slots(20))
         buf.end_episode()
-        (_, _, acts, _, _), draws = self._episode_batch(buf, 1, 20, 8, 50)
+        (_, _, acts, _), draws = self._episode_batch(buf, 1, 20, 8, 50)
         # actions are slot numbers, so a window's first action is its start
         starts = acts[0]
         assert np.array_equal(starts, [w for _, w in draws])
@@ -500,8 +622,7 @@ class TestReplay:
                 buf.extend(s[lo:hi + 1], a[lo:hi], r[lo:hi])
             if k < 5:
                 buf.end_episode()
-        (x_on, x_tg, acts, rews, next_ids), draws = self._episode_batch(
-            buf, 2, L, T)
+        (ids, prev_ids, acts, rews), draws = self._episode_batch(buf, 2, L, T)
         assert {e for e, _ in draws} == {0, 1}
         assert {w == 0 for _, w in draws} == {True, False}
         kept = eps[3:5]
@@ -509,12 +630,10 @@ class TestReplay:
         prev = np.stack([np.r_[kept[e][1][w - 1] if w else -1,
                                kept[e][1][w:w + T]] for e, w in draws],
                         axis=1)
-        x = encode(s, P, prev)
-        assert np.array_equal(x_on, x[:-1]) and np.array_equal(x_tg, x[1:])
+        assert np.array_equal(ids, s) and np.array_equal(prev_ids, prev)
         assert np.array_equal(acts, prev[1:])
         assert np.array_equal(rews, np.stack(
             [kept[e][2][w:w + T] for e, w in draws], axis=1))
-        assert np.array_equal(next_ids, s[1:])
 
 
 class TestTraining:
@@ -620,7 +739,7 @@ def reference_train(kind, env, cfg, rng):
             baseline.add(r)
             total += r
             if n % cfg.update_every == 0 and \
-                    (batch := replay.sample_batch(cfg, env, rng)) is not None:
+                    (batch := replay.sample_batch(cfg, rng)) is not None:
                 actor.params, _ = q_update(
                     spec, actor.params, target, opt, batch, env, cfg,
                     baseline.value, baseline.scale)

@@ -259,7 +259,7 @@ class TestCheckpointMismatch:
     @pytest.mark.parametrize("defect", [
         "short-header", "bad-json", "no-input-dim", "zero-units",
         "bad-activation", "huge-layer", "float-input-dim", "float-units",
-        "bool-units"])
+        "bool-units", "dense-before-gru"])
     def test_malformed_is_config_error(self, tmp_path, capsys, defect):
         out = ["dense", 54, "identity"]
         content = {
@@ -285,6 +285,11 @@ class TestCheckpointMismatch:
             "bool-units": self._sized(
                 {"input_dim": 66, "layers": [["gru", True], out]},
                 _net(66, GRU(1))),
+            # sized for its layers: Dense(66, 8), GRU(8, 8), Dense(8, 54)
+            "dense-before-gru": self._file(
+                {"input_dim": 66, "layers": [["dense", 8, "relu"],
+                                             ["gru", 8], out]})
+            + bytes(8 * (66 * 8 + 8 + 2 * 8 * 24 + 24 + 8 * 54 + 54)),
         }[defect]
         path = tmp_path / "net.qnet"
         path.write_bytes(content)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 
@@ -49,6 +50,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             NetworkSpec(input_dim=3, layers=(GRU(4),))
 
+    def test_gru_after_dense_rejected(self):
+        with pytest.raises(ValueError, match="GRU layers must come before"):
+            NetworkSpec(input_dim=3, layers=(Dense(4, "relu"), GRU(4),
+                                             Dense(2, "identity")))
+
     def test_bad_activation_rejected(self):
         with pytest.raises(ValueError):
             NetworkSpec(input_dim=3, layers=(Dense(4, "tanh"),
@@ -96,27 +102,63 @@ class TestForward:
 
     @pytest.mark.parametrize("batch", [1, 2, 32])
     def test_gru_step_equals_gate_formulas_bitwise(self, batch):
-        # The step fuses the gates' matmuls and works in place; a seeded
-        # training run must still give the bits of the textbook form.
+        # The step fuses the gates' matmuls and works in place, into the
+        # caller's arrays if given; a seeded training run must still give
+        # the bits of the textbook form.
         p, x, h, _ = gru_case(batch)
         q = {k: v.copy() for k, v in gates(p).items()}
         sig = lambda a: 0.5 * (1.0 + np.tanh(0.5 * a))
         z = sig(x @ q["w_z"] + h @ q["u_z"] + q["b_z"])
         r = sig(x @ q["w_r"] + h @ q["u_r"] + q["b_r"])
         hc = np.tanh(x @ q["w_h"] + (r * h) @ q["u_h"] + q["b_h"])
-        h_new, _ = _gru_step(p, x, h)
-        assert np.array_equal(h_new, (1.0 - z) * h + z * hc)
+        h_want = (1.0 - z) * h + z * hc
+        assert np.array_equal(_gru_step(p, x, h), h_want)
+        zr_out, hc_out, h_out = (np.empty((batch, k)) for k in (32, 16, 16))
+        assert _gru_step(p, x, h, zr_out, hc_out, h_out) is h_out
+        assert np.array_equal(h_out, h_want)
+        assert np.array_equal(zr_out, np.hstack((z, r)))
+        assert np.array_equal(hc_out, hc)
 
     def test_hidden_only_pass_matches_full_pass(self):
+        # The cached, uncached and hidden-only passes step the whole GRU
+        # stack per timestep; each must give the bits of a layer at a time
+        # over the whole sequence, the order before.
         spec = NetworkSpec(input_dim=4, layers=(
             GRU(6), GRU(5), Dense(5, "relu"), Dense(3, "identity")))
         params, rng = random_net(spec, 6)
-        xs = rng.standard_normal((7, 3, 4))
-        _, h_full, _ = forward(spec, params, xs, collect_cache=False)
-        out, h, cache = forward(spec, params, xs, collect_cache=False,
-                                outputs=False)
-        assert out is None and cache is None
-        assert all(np.array_equal(a, b) for a, b in zip(h_full, h))
+        for batch, with_h0 in itertools.product((1, 2, 32), (False, True)):
+            xs = rng.standard_normal((7, batch, 4))
+            h_start = [np.tanh(rng.standard_normal((batch, n))) if with_h0
+                       else np.zeros((batch, n)) for n in (6, 5)]
+            h0 = [v.copy() for v in h_start] if with_h0 else None
+            cur, h_want = xs, []
+            for p, h in zip(params, h_start):
+                outs = []
+                for t in range(len(xs)):
+                    outs.append(h := _gru_step(p, cur[t], h))
+                cur = np.stack(outs)
+                h_want.append(h)
+            cur = np.maximum(cur @ params[2]["w"] + params[2]["b"], 0.0)
+            want = cur @ params[3]["w"] + params[3]["b"]
+            cached, h_cached, cache = forward(spec, params, xs, h0)
+            plain, h_plain, none = forward(spec, params, xs, h0,
+                                           collect_cache=False)
+            out, h_only, no_cache = forward(spec, params, xs, h0,
+                                            collect_cache=False,
+                                            outputs=False)
+            assert none is None and out is None and no_cache is None
+            assert np.array_equal(cached, want)
+            assert np.array_equal(plain, want)
+            for got in (h_cached, h_plain, h_only):
+                assert all(np.array_equal(a, b) for a, b in zip(got, h_want))
+            # the cache holds each layer's states from the initial one on,
+            # and no pass writes into h0
+            for li in range(2):
+                hs = cache.layers[li][1]
+                assert np.array_equal(hs[0], h_start[li])
+                assert np.array_equal(hs[-1], h_want[li])
+            if with_h0:
+                assert all(np.array_equal(a, b) for a, b in zip(h0, h_start))
         with pytest.raises(ValueError):
             forward(spec, params, xs, outputs=False)
 
@@ -212,12 +254,14 @@ class TestBackward:
         # The textbook per-gate backward step on contiguous per-gate
         # arrays, in the order of operations the fused step keeps.
         p, x, h, rng = gru_case(batch, 5)
-        _, c = _gru_step(p, x, h)
+        zr, hc = np.empty((batch, 32)), np.empty((batch, 16))
+        _gru_step(p, x, h, zr, hc)
+        c = (x, h, zr, hc)
         dh_total = rng.standard_normal(h.shape)
         g = {k: rng.standard_normal(v.shape) for k, v in p.items()}
         q = {k: v.copy() for k, v in gates(p).items()}
         want = {k: v.copy() for k, v in gates(g).items()}
-        _, _, z, r, hc = c
+        z, r = zr[:, :16], zr[:, 16:]
         dz = dh_total * (hc - h)
         dhin = dh_total * z * (1.0 - hc * hc)
         drh = dhin @ q["u_h"].T
