@@ -185,8 +185,3 @@ class RewardBaseline:
         var = self._sq / self._n - mean * mean
         return var ** 0.5 if var > 1e-12 else 1.0
 
-
-def masked_max(q: np.ndarray, ids, p: EnvParams) -> np.ndarray:
-    """Max of q over the valid actions of each state; ids are state_ids
-    of q's leading axes."""
-    return np.where(mdp(p).valid[ids], q, -np.inf).max(axis=-1)

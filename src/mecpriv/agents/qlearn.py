@@ -17,15 +17,16 @@ import numpy as np
 
 from ..env import EnvParams, mdp
 from ..nn import backward, forward, forward_step, init_hidden
-from .common import AgentConfig, encode, loss_gradient, masked_max, obs_dim
+from .common import AgentConfig, encode, loss_gradient, obs_dim
 
 
 class QPolicy:
     """The masked epsilon-greedy policy of a Q-net; greedy ties go to the
     lowest action id. act is the greedy pick on lanes; explore, the
-    trainer's act, plays one lane epsilon-greedily. A net on the
-    observation encoding also reads each lane's previous action, and its
-    hidden state threads across an episode."""
+    trainer's act, is act on one lane whose pick, with probability eps, is
+    overridden by a uniform valid action. A net on the observation
+    encoding also reads each lane's previous action, the played one, and
+    its hidden state threads across an episode."""
 
     tabular = False
 
@@ -33,8 +34,8 @@ class QPolicy:
         self.spec = spec
         self.params = params
         self._env = env
+        self._mdp = mdp(env)
         self._reads_prev = spec.input_dim == obs_dim(env)
-        self._valid = mdp(env).valid
         self.reset(1)
 
     def reset(self, lanes: int) -> None:
@@ -49,23 +50,17 @@ class QPolicy:
 
     def act(self, s, coin=None, pick=None) -> np.ndarray:
         """Each lane's best valid action; the uniforms go unused."""
-        self._prev = np.where(self._valid[s], self._q(s),
-                              -np.inf).argmax(axis=1)
+        self._prev = self._mdp.masked(self._q(s), s).argmax(axis=1)
         return self._prev
 
     def explore(self, s: int, eps: float, rng: np.random.Generator) -> int:
-        """The one lane's act on state id s: after the net's step, with
-        probability eps a uniform valid action, drawn from rng (a uniform,
-        then an index into the ascending valid ids), else the best valid
-        one. rng is not touched at eps 0."""
-        q = self._q(np.array([s]))[0]  # one row, no twin lane
-        valid = self._valid[s]
+        """act on the one lane's state id s, then with probability eps a
+        uniform valid action instead, drawn from rng: a uniform, then an
+        index into ranked[s]'s valid ids. rng is not touched at eps 0."""
+        a = self.act(np.array([s]))[0]  # one row, no twin lane
         if eps > 0.0 and rng.random() < eps:
-            ids = np.flatnonzero(valid)
-            a = ids[rng.integers(0, ids.size)]
-        else:
-            a = np.where(valid, q, -np.inf).argmax()
-        self._prev[0] = a
+            m = self._mdp
+            a = self._prev[0] = m.ranked[s, rng.integers(0, m.n_valid[s])]
         return int(a)
 
 
@@ -95,8 +90,9 @@ def q_update(spec, params, target_params, opt, batch, env: EnvParams,
         del x  # dropped before the loss bundle's slots are encoded
     x = slots(burn, T + 1)
     # the target's pass first, so that only its maxima outlive it
-    best = masked_max(forward(spec, target_params, x[1:], h_tg,
-                              collect_cache=False)[0], s[burn + 1:], env)
+    best = mdp(env).masked(forward(spec, target_params, x[1:], h_tg,
+                                   collect_cache=False)[0],
+                           s[burn + 1:]).max(axis=-1)
     q_on, _, cache = forward(spec, params, x[:-1], h_on)
     y = (rews[burn:] - baseline) / scale + cfg.gamma * best
     rows = np.arange(B)

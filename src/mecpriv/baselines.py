@@ -23,7 +23,7 @@ class Policy(Protocol):
 class ThetaPrivatePolicy:
     """Cost-greedy policy randomized uniformly with probability theta: where
     the slot's coin falls below theta it plays the valid action that the
-    pick selects, the floor(pick * n)-th of the state's n valid ids."""
+    pick selects, ranked[s, floor(pick * n_valid[s])] of the MDP."""
 
     tabular = True
 
@@ -33,11 +33,10 @@ class ThetaPrivatePolicy:
         self.theta = theta
         m = mdp(env)
         self._greedy = m.greedy
-        # Entry j * n_states + s is the j-th valid id of s, ascending, for
-        # j below n_actions; the greedy id of s for j = n_actions.
-        ranked = np.argsort(~m.valid, axis=1, kind="stable")
-        self._table = np.vstack((ranked.T, m.greedy)).ravel()
-        self._n_valid = m.valid.sum(axis=1)
+        # Entry j * n_states + s is ranked[s, j] for j below n_actions; the
+        # greedy id of s for j = n_actions.
+        self._table = np.vstack((m.ranked.T, m.greedy)).ravel()
+        self._n_valid = m.n_valid
 
     def act(self, s, coin, pick) -> np.ndarray:
         if self.theta == 0.0:

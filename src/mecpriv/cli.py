@@ -110,9 +110,13 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_dir(cfg: RunConfig, command: str) -> Path:
+    """Make the output directory and write its manifest. Commands call it
+    once their inputs have checked out, so a config error leaves none."""
     path = Path(cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
+    write_manifest(path / "manifest.json", config_as_dict(cfg), cfg.seeds,
+                   extra={"command": command})
     return path
 
 
@@ -151,7 +155,7 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args)
     if cfg.policy not in ("dqn", "drqn"):
         raise ConfigError("train requires --agent dqn or drqn")
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, args.command)
     result = train(cfg.policy, cfg.env, cfg.agent,
                    np.random.default_rng(cfg.seeds[0]))
     save_checkpoint(out / "checkpoint.qnet", result.spec, result.params)
@@ -160,8 +164,6 @@ def cmd_train(args) -> int:
     record = evaluate(policy, cfg.env, cfg.eval_episodes, cfg.seeds,
                       label=cfg.policy)
     write_metrics_csv(out / "metrics.csv", [record])
-    write_manifest(out / "manifest.json", config_as_dict(cfg), cfg.seeds,
-                   extra={"command": "train"})
     print(f"trained {cfg.policy} for {cfg.agent.episodes} episodes; "
           f"artifacts in {out}")
     return 0
@@ -169,14 +171,12 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
-    out = _out_dir(cfg)
     policy = _build_policy(cfg.policy, cfg, args)
+    out = _out_dir(cfg, args.command)
     label = cfg.policy if cfg.policy != "theta" else \
         f"theta={policy.theta:g}"
     record = evaluate(policy, cfg.env, cfg.eval_episodes, cfg.seeds, label=label)
     write_metrics_csv(out / "metrics.csv", [record])
-    write_manifest(out / "manifest.json", config_as_dict(cfg), cfg.seeds,
-                   extra={"command": "evaluate"})
     print(f"{label}: avg cost/task {record.avg_cost_per_task:.4f}, "
           f"H(D,T) {record.h_dt:.4f} bits; metrics in {out}")
     return 0
@@ -184,14 +184,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep_theta(args) -> int:
     cfg = resolve_config(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, args.command)
     grid = (args.theta,) if args.theta is not None else cfg.theta_grid
     records = sweep_theta(grid, cfg.env, cfg.eval_episodes, cfg.seeds,
                           jobs=args.jobs)
     write_metrics_csv(out / "sweep_theta.csv", records,
                       extra={"theta": [float(t) for t in grid]})
-    write_manifest(out / "manifest.json", config_as_dict(cfg), cfg.seeds,
-                   extra={"command": "sweep-theta"})
     for theta, rec in zip(grid, records):
         print(f"theta={theta:g}: cost/task {rec.avg_cost_per_task:.4f}, "
               f"H(D,T) {rec.h_dt:.4f}")
@@ -202,7 +200,7 @@ def cmd_sweep_lambda(args) -> int:
     cfg = resolve_config(args)
     if cfg.policy not in ("dqn", "drqn"):
         raise ConfigError("sweep-lambda requires --agent dqn or drqn")
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, args.command)
     grid = (args.lam,) if args.lam is not None else cfg.lambda_grid
     results = sweep_lambda(cfg.policy, grid, cfg.env, cfg.agent, cfg.seeds[0],
                            cfg.eval_episodes, cfg.seeds, jobs=args.jobs)
@@ -216,15 +214,13 @@ def cmd_sweep_lambda(args) -> int:
                         trained.spec, trained.params)
         print(f"lambda={lam:g}: cost/task {rec.avg_cost_per_task:.4f}, "
               f"H(D,T) {rec.h_dt:.4f}")
-    write_manifest(out / "manifest.json", config_as_dict(cfg), cfg.seeds,
-                   extra={"command": "sweep-lambda"})
     return 0
 
 
 def cmd_attack(args) -> int:
     cfg = resolve_config(args)
-    out = _out_dir(cfg)
     policy = _build_policy(cfg.policy, cfg, args)
+    out = _out_dir(cfg, args.command)
     seed = cfg.seeds[0]
     fit_trace = rollout_trace(policy, cfg.env,
                               np.random.default_rng([seed, 0]), args.steps)
@@ -234,8 +230,6 @@ def cmd_attack(args) -> int:
     report = attack_evaluation(eval_trace, model)
     print(format_report(cfg.policy, report))
     write_attack_csv(out / "attack.csv", cfg.policy, report)
-    write_manifest(out / "manifest.json", config_as_dict(cfg), cfg.seeds,
-                   extra={"command": "attack"})
     return 0
 
 

@@ -95,7 +95,9 @@ class MDP:
     n_actions) tables are nan where valid is False. greedy is each state's
     first cost-minimising action. heuristic is a stand-in for an external
     privacy metric: one per task offloaded in a bad channel or processed
-    locally in a good one.
+    locally in a good one. Every rule on valid actions reads from here:
+    row s of ranked holds the n_valid[s] valid ids of s ascending, then
+    its invalid ones, and masked puts the invalid actions at -inf.
     """
 
     d: np.ndarray
@@ -110,7 +112,13 @@ class MDP:
     cost: np.ndarray
     heuristic: np.ndarray
     greedy: np.ndarray
-    valid_ids: tuple[np.ndarray, ...]
+    ranked: np.ndarray
+    n_valid: np.ndarray
+
+    def masked(self, values: np.ndarray, s) -> np.ndarray:
+        """values, (..., n_actions) over the state ids s of its leading
+        axes, with each state's invalid actions at -inf."""
+        return np.where(self.valid[s], values, -np.inf)
 
 
 class InvalidActionError(ValueError):
@@ -143,9 +151,10 @@ def mdp(p: EnvParams) -> MDP:
                ("cost", cost), ("heuristic", heuristic))}
     out = MDP(d=d, b=b, g=g, q=q, t=t, valid=valid, **tables,
               greedy=np.argmin(np.where(valid, cost, np.inf), axis=1),
-              valid_ids=tuple(np.flatnonzero(row) for row in valid))
-    for arr in (d, b, g, q, t, valid, out.greedy, *tables.values(),
-                *out.valid_ids):
+              ranked=np.argsort(~valid, axis=1, kind="stable"),
+              n_valid=valid.sum(axis=1))
+    for arr in (d, b, g, q, t, valid, out.greedy, out.ranked, out.n_valid,
+                *tables.values()):
         arr.setflags(write=False)
     return out
 

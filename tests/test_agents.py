@@ -7,9 +7,8 @@ import pytest
 from mecpriv.agents import (AgentConfig, EpisodeBuffer, QPolicy,
                             TransitionBuffer, encode, epsilon_at,
                             network_spec, obs_dim, q_update, state_dim)
-from mecpriv.agents.common import (RewardBaseline, alpha_at, loss_gradient,
-                                   masked_max)
-from mecpriv.baselines import GreedyPolicy
+from mecpriv.agents.common import RewardBaseline, alpha_at, loss_gradient
+from mecpriv.baselines import GreedyPolicy, ThetaPrivatePolicy
 from mecpriv.env import (EnvParams, mdp, reward, sample_initial_state,
                          state_id, step)
 from mecpriv.harness import desk_agent, desk_env, evaluate, train
@@ -204,6 +203,58 @@ class TestEpsilonGreedy:
             AgentConfig(alpha_decay=decay)
 
 
+class PickRng:
+    """An rng stub for QPolicy.explore: its coin always explores, and its
+    index into a state's n valid ids is k."""
+
+    def __init__(self, k, n):
+        self.k, self.n = k, n
+
+    def random(self):
+        return 0.0
+
+    def integers(self, low, high):
+        assert (low, high) == (0, self.n)
+        return self.k
+
+
+class TestOneOrder:
+    # Every random valid action is the k-th of MDP.ranked's valid ids:
+    # the theta policy's pick and the trainer's explored action alike.
+    ENV = desk_env()
+    M = mdp(ENV)
+
+    def test_ranked_lists_the_valid_ids_ascending(self):
+        for s in range(self.ENV.n_states):
+            assert np.array_equal(self.M.ranked[s, :self.M.n_valid[s]],
+                                  np.flatnonzero(self.M.valid[s]))
+
+    def test_theta_pick_plays_the_kth_valid_id(self):
+        pol = ThetaPrivatePolicy(self.ENV, 1.0)
+        for s in range(self.ENV.n_states):
+            n = self.M.n_valid[s]
+            pick = (np.arange(n) + 0.5) / n
+            got = pol.act(np.full(n, s), np.zeros(n), pick)
+            assert np.array_equal(got, self.M.ranked[s, :n])
+
+    def test_explore_plays_and_feeds_back_the_kth_valid_id(self):
+        env, m = self.ENV, self.M
+        spec = network_spec(env, TINY_DRQN, True)
+        params = init_params(spec, np.random.default_rng(4))
+        pol = QPolicy(spec, params, env)
+        for s in range(env.n_states):
+            _, h0 = forward_step(spec, params, encode(s, env, -1)[None], None)
+            for k in range(m.n_valid[s]):
+                pol.reset(1)
+                a = pol.explore(s, 1.0, PickRng(k, m.n_valid[s]))
+                assert a == m.ranked[s, k]
+                # the net's next input carries a as the previous action
+                pol.explore(s, 0.0, None)
+                _, h = forward_step(spec, params, encode(s, env, a)[None], h0)
+                assert [v.tobytes() for v in pol._h] == \
+                    [v.tobytes() for v in h]
+
+
 def one_slot_batch(s, a, r, s_next):
     """A batch (s, prev, acts, rews) of one one-slot sequence."""
     return np.array([[s], [s_next]]), None, np.array([[a]]), np.array([[r]])
@@ -258,8 +309,8 @@ def one_array_update(spec, params, target_params, opt, batch, env, cfg,
     q_on, _, cache = forward(spec, params, x_on[burn:], h_on)
     q_tg = forward(spec, target_params, x_tg[burn:], h_tg,
                    collect_cache=False)[0]
-    y = (rews[burn:] - baseline) / scale + cfg.gamma * masked_max(
-        q_tg, s[burn + 1:], env)
+    best = np.where(mdp(env).valid[s[burn + 1:]], q_tg, -np.inf).max(axis=-1)
+    y = (rews[burn:] - baseline) / scale + cfg.gamma * best
     kk, rows, cols = np.arange(L)[:, None], np.arange(B), acts[burn:]
     err = q_on[kk, rows, cols] - y
     dout = np.zeros_like(q_on)

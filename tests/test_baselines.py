@@ -37,8 +37,9 @@ class TestGreedy:
     def test_is_the_argmin_of_cost(self):
         # the first minimum in (q, t) order, which is id order
         for s in range(P.n_states):
-            costs = [M.cost[s, x] for x in M.valid_ids[s]]
-            first_best = M.valid_ids[s][costs.index(min(costs))]
+            options = M.ranked[s, :M.n_valid[s]]
+            costs = [M.cost[s, x] for x in options]
+            first_best = options[costs.index(min(costs))]
             assert M.greedy[s] == first_best
 
     def test_policy_wrapper_matches_function(self):
@@ -81,7 +82,7 @@ class TestThetaPrivate:
         # a coin under theta plays the floor(pick * n)-th valid action
         pol = UniformPolicy(P)
         for s in range(P.n_states):
-            options = M.valid_ids[s]
+            options = M.ranked[s, :M.n_valid[s]]
             n = len(options)
             pick = np.array([(k + 0.5) / n for k in range(n)] + [
                 np.nextafter(1.0, 0.0)])
@@ -94,11 +95,11 @@ class TestThetaPrivate:
         assert pol.act(np.array([s]), np.array([0.5]),
                        np.array([0.0]))[0] == M.greedy[s]
         assert pol.act(np.array([s]), np.array([np.nextafter(0.5, 0.0)]),
-                       np.array([0.0]))[0] == M.valid_ids[s][0]
+                       np.array([0.0]))[0] == M.ranked[s, 0]
 
     def test_theta_one_uniform_over_valid(self):
         s = state_id(2, 0, 1, P)
-        options = M.valid_ids[s]
+        options = M.ranked[s, :M.n_valid[s]]
         n = 100_000
         acts = theta_acts(1.0, s, n, 2)
         for a in options:
@@ -108,7 +109,7 @@ class TestThetaPrivate:
     def test_theta_half_mixture_frequency(self):
         s = state_id(2, 0, 1, P)
         greedy = M.greedy[s]
-        n_valid = len(M.valid_ids[s])
+        n_valid = M.n_valid[s]
         assert n_valid == 6
         n = 100_000
         hits = (theta_acts(0.5, s, n, 3) == greedy).sum()

@@ -111,6 +111,21 @@ class TestExitCodes:
         assert "--theta" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "attack"])
+    @pytest.mark.parametrize("flags", [
+        ["--agent", "drqn"],
+        ["--agent", "drqn", "--checkpoint", "{tmp}/garbage.qnet"],
+        ["--agent", "greedy", "--theta", "0.3"],
+    ], ids=["no-checkpoint", "unreadable-checkpoint", "theta-on-greedy"])
+    def test_policy_error_leaves_no_output_dir(self, tmp_path, command,
+                                               flags):
+        (tmp_path / "garbage.qnet").write_bytes(b"not a checkpoint")
+        out = tmp_path / "out"
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        assert main([command, *flags, "--scale", "desk",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--agent", "greedy", "--jobs", "3"],
         ["attack", "--agent", "greedy", "--jobs", "2"],

@@ -33,8 +33,8 @@ def brute_force_actions(d, b, p):
 def valid_pairs(d, b, g, p=P):
     """The (q, t) pairs of the MDP's valid action ids, in id order."""
     m = mdp(p)
-    return [(int(m.q[a]), int(m.t[a]))
-            for a in m.valid_ids[state_id(d, b, g, p)]]
+    s = state_id(d, b, g, p)
+    return [(int(m.q[a]), int(m.t[a])) for a in m.ranked[s, :m.n_valid[s]]]
 
 
 def entry(name, d, b, g, q, t, p=P_DT1):
@@ -65,7 +65,18 @@ class TestValidActions:
             s = state_id(d, b, g, P)
             listed = {action_id(q, t, P) for q, t in brute_force_actions(d, b, P)}
             assert set(np.flatnonzero(M.valid[s])) == listed
-            assert list(M.valid_ids[s]) == sorted(listed)
+            assert list(M.ranked[s, :M.n_valid[s]]) == sorted(listed)
+            # the invalid ids follow, ascending too
+            assert list(M.ranked[s, M.n_valid[s]:]) == sorted(
+                set(range(P.n_actions)) - listed)
+
+    def test_masked_puts_invalid_actions_at_minus_inf(self):
+        # over leading axes of state ids; valid entries keep their bits
+        s = np.arange(P.n_states).reshape(6, 8)
+        values = np.random.default_rng(0).normal(size=(6, 8, P.n_actions))
+        got = M.masked(values, s)
+        assert np.array_equal(got[M.valid[s]], values[M.valid[s]])
+        assert (got[~M.valid[s]] == -np.inf).all()
 
 
 class TestCostModel:
@@ -199,7 +210,7 @@ class TestTransitions:
             env = dataclasses.replace(P, p_channel_stay=forced)
             m = mdp(env)
             for s in range(env.n_states):
-                for a in m.valid_ids[s]:
+                for a in m.ranked[s, :m.n_valid[s]]:
                     nxt = step(s, a, rng, env)
                     assert 0 <= nxt < env.n_states
                     assert 0 <= m.d[nxt] <= env.d_max

@@ -30,7 +30,7 @@ def kernel(p):
     m = mdp(p)
     out = np.zeros((p.n_states, p.n_actions, p.n_states))
     for s in range(p.n_states):
-        for a in m.valid_ids[s]:
+        for a in m.ranked[s, :m.n_valid[s]]:
             for d in range(p.d_max + 1):
                 for g in (0, 1):
                     chan = (p.p_channel_stay if g == m.g[s]
