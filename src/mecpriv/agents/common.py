@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..env import EnvParams, check_finite, mdp
-from ..nn import Dense, GRU, NetworkSpec, Params
+from ..nn import NetworkSpec, Params
 
 LOSSES = ("mse", "huber")
 
@@ -116,12 +116,10 @@ def network_spec(p: EnvParams, cfg: AgentConfig,
                  recurrent: bool) -> NetworkSpec:
     """Value net: dense layers on the state encoding, or, if recurrent,
     GRU layers then dense layers on the state-plus-previous-action one."""
-    layers: list = ([GRU(cfg.gru_units) for _ in range(cfg.gru_layers)]
-                    if recurrent else [])
-    layers += [Dense(cfg.dense_units, "relu") for _ in range(cfg.dense_layers)]
-    layers.append(Dense(p.n_actions, "identity"))
-    return NetworkSpec(input_dim=obs_dim(p) if recurrent else state_dim(p),
-                       layers=tuple(layers))
+    return NetworkSpec(
+        input_dim=obs_dim(p) if recurrent else state_dim(p),
+        gru=(cfg.gru_units,) * cfg.gru_layers if recurrent else (),
+        dense=(cfg.dense_units,) * cfg.dense_layers, output_dim=p.n_actions)
 
 
 def loss_gradient(td_error: np.ndarray, kind: str) -> np.ndarray:

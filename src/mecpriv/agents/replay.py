@@ -93,11 +93,12 @@ class EpisodeBuffer(TransitionBuffer):
         if not kept:
             return None
         T = cfg.seq_len
-        # scalar draws, the episode and then the start of each window; one
-        # size=B draw per array would give other numbers from the stream
-        ep, start = np.array([(rng.integers(0, kept),
-                               rng.integers(0, L - T + 1))
-                              for _ in range(cfg.batch_size)]).T
+        # per window, the episode and then its start: one draw over the
+        # interleaved bounds takes the stream's numbers in the order of a
+        # scalar draw per bound, and a bound of 1 takes none in both
+        ep, start = rng.integers(0, np.tile([kept, L - T + 1],
+                                            cfg.batch_size)
+                                 ).reshape(cfg.batch_size, 2).T
         # kept episodes oldest first
         first = (self._closed - kept + ep) % runs * L + start
         idx = first + np.arange(T)[:, None]

@@ -23,7 +23,7 @@ from .harness import (ConfigError, RunConfig, config_as_dict, evaluate,
                       sweep_theta, train, write_attack_csv,
                       write_learning_curve_csv, write_manifest,
                       write_metrics_csv)
-from .nn import (CheckpointError, Dense, GRU, NetworkSpec, gradient_check,
+from .nn import (CheckpointError, NetworkSpec, gradient_check,
                  load_checkpoint, save_checkpoint)
 
 DENSE_GRADCHECK_TOL = 1e-6
@@ -144,7 +144,7 @@ def _build_policy(kind: str, cfg: RunConfig, args):
     if spec.output_dim != env.n_actions:
         raise ConfigError(f"checkpoint output_dim {spec.output_dim} does not "
                           f"match n_actions {env.n_actions}")
-    if bool(spec.gru_units) != (kind == "drqn"):
+    if bool(spec.gru) != (kind == "drqn"):
         raise ConfigError(f"a {kind} checkpoint must "
                           f"{'have' if kind == 'drqn' else 'not have'} "
                           f"a GRU layer")
@@ -237,10 +237,8 @@ def cmd_gradcheck(args) -> int:
     seed = args.seed
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    dense_spec = NetworkSpec(input_dim=6, layers=(
-        Dense(8, "relu"), Dense(8, "relu"), Dense(4, "identity")))
-    gru_spec = NetworkSpec(input_dim=5, layers=(
-        GRU(4), Dense(4, "identity")))
+    dense_spec = NetworkSpec(input_dim=6, gru=(), dense=(8, 8), output_dim=4)
+    gru_spec = NetworkSpec(input_dim=5, gru=(4,), dense=(), output_dim=4)
     dense_err = gradient_check(dense_spec, seed)
     gru_err = gradient_check(gru_spec, seed, seq_len=6)
     ok = dense_err <= DENSE_GRADCHECK_TOL and gru_err <= GRU_GRADCHECK_TOL

@@ -3,9 +3,12 @@
 Everything is float64 and functional: parameters are a list of per-layer
 dicts of arrays, forward returns an opaque cache, backward turns a cache
 plus output gradients into parameter gradients of the same structure.
+The net is one family: GRU layers, then relu dense layers, then one linear
+output layer. A spec is its layer widths, so a layer's index says its
+kind: the first len(spec.gru) are GRU layers and only the last is linear.
 A dense layer has w (D, n) and b (n); a GRU layer has its three gates side
-by side, z | r | h, in w (D, 3n), u (n, 3n) and b (3n). The GRU layers
-come first, so a pass steps the whole GRU stack once per timestep and then
+by side, z | r | h, in w (D, 3n), u (n, 3n) and b (3n). As the GRU layers
+come first, a pass steps the whole GRU stack once per timestep and then
 runs the dense head over the top layer's outputs.
 Inputs are shaped (T, B, D): sequence length, batch, feature dim. A hidden
 state passed into forward is treated as a constant, which is what makes
@@ -15,78 +18,41 @@ The cache holds each activation once. A GRU layer's steps write in place
 into preallocated blocks: its states hs (T + 1, B, n) with hs[0] the
 initial state, its gates z | r (T, B, 2n) and its candidates hc (T, B, n);
 its input is the layer below's states, a view. A dense layer keeps its
-input and, for a relu, its output. A hidden-only pass (a burn-in) keeps
-just each layer's running (B, n) state.
+input and, unless it is the output layer, its relu output. A hidden-only
+pass (a burn-in) keeps just each layer's running (B, n) state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "identity")
-
-
-@dataclass(frozen=True)
-class Dense:
-    units: int
-    activation: str = "relu"
-
-
-@dataclass(frozen=True)
-class GRU:
-    units: int
-
-
-LayerSpec = Union[Dense, GRU]
 Params = list[dict[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """GRU layers of widths gru, then relu dense layers of widths dense,
+    then one linear layer of width output_dim."""
     input_dim: int
-    layers: tuple[LayerSpec, ...]
+    gru: tuple[int, ...]
+    dense: tuple[int, ...]
+    output_dim: int
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if not self.layers:
-            raise ValueError("at least one layer required")
-        for layer in self.layers:
-            if layer.units < 1:
-                raise ValueError("layer units must be >= 1")
-            if isinstance(layer, Dense) and layer.activation not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {layer.activation!r}")
-        last = self.layers[-1]
-        if not isinstance(last, Dense) or last.activation != "identity":
-            raise ValueError("last layer must be Dense with identity activation")
-        n_gru = len(self.gru_units)
-        if any(isinstance(layer, Dense) for layer in self.layers[:n_gru]):
-            raise ValueError("GRU layers must come before dense layers")
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].units
-
-    @property
-    def gru_units(self) -> list[int]:
-        return [l.units for l in self.layers if isinstance(l, GRU)]
+        if min(self.input_dim, *self.gru, *self.dense, self.output_dim) < 1:
+            raise ValueError("every width must be >= 1")
 
     def layer_dims(self) -> list[tuple[int, int]]:
-        """(fan_in, fan_out) per layer in declaration order."""
-        dims = []
-        d = self.input_dim
-        for layer in self.layers:
-            dims.append((d, layer.units))
-            d = layer.units
-        return dims
+        """(fan_in, fan_out) per layer, input side first."""
+        widths = (self.input_dim, *self.gru, *self.dense, self.output_dim)
+        return list(zip(widths, widths[1:]))
 
 
 def param_shapes(spec: NetworkSpec) -> list[dict[str, tuple[int, ...]]]:
     shapes = []
-    for layer, (fan_in, units) in zip(spec.layers, spec.layer_dims()):
-        if isinstance(layer, GRU):
+    for li, (fan_in, units) in enumerate(spec.layer_dims()):
+        if li < len(spec.gru):
             shapes.append({"w": (fan_in, 3 * units), "u": (units, 3 * units),
                            "b": (3 * units,)})
         else:
@@ -103,8 +69,8 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> Params:
     """Glorot-uniform kernels, zero biases, float64. A GRU layer draws one
     kernel per gate, in the order w_z, u_z, w_r, u_r, w_h, u_h."""
     params = []
-    for layer, (fan_in, units) in zip(spec.layers, spec.layer_dims()):
-        if isinstance(layer, GRU):
+    for li, (fan_in, units) in enumerate(spec.layer_dims()):
+        if li < len(spec.gru):
             w, u = zip(*[(_glorot(rng, fan_in, units), _glorot(rng, units, units))
                          for _ in "zrh"])
             params.append({"w": np.hstack(w), "u": np.hstack(u),
@@ -117,7 +83,7 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> Params:
 
 def init_hidden(spec: NetworkSpec, batch: int) -> list[np.ndarray]:
     """Zero hidden vectors, one per GRU layer."""
-    return [np.zeros((batch, u), dtype=np.float64) for u in spec.gru_units]
+    return [np.zeros((batch, u), dtype=np.float64) for u in spec.gru]
 
 
 def clone_params(params: Params) -> Params:
@@ -138,10 +104,10 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _dense_step(p, layer: Dense, x):
+def _dense_step(p, x, relu: bool):
     y = x @ p["w"]
     y += p["b"]
-    if layer.activation == "relu":
+    if relu:
         np.maximum(y, 0.0, out=y)
         return y, (x, y)
     return y, (x, None)
@@ -180,7 +146,7 @@ def _gru_step(p, x, h, zr=None, hc=None, out=None):
 class Cache:
     spec: NetworkSpec
     params: Params
-    layers: list  # per layer: GRU -> (x, hs, zr, hc), Dense -> (x, y)
+    layers: list  # per layer: GRU -> (x, hs, zr, hc), dense -> (x, y)
     seq_len: int
     batch: int
 
@@ -205,7 +171,7 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
     if collect_cache and not outputs:
         raise ValueError("a cached pass needs its outputs")
     T, B, _ = xs.shape
-    units = spec.gru_units
+    units = spec.gru
     if h0 is None:
         h0 = init_hidden(spec, B)
     elif len(h0) != len(units) or any(
@@ -234,8 +200,9 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
     # a GRU layer's input is the network's, then the layer below's states
     ins = [xs] + [hs[1:] for hs, _, _ in blocks[:-1]] if collect_cache else []
     layer_caches = [(x, *blk) for x, blk in zip(ins, blocks)]
-    for li in range(len(blocks), len(spec.layers)):
-        cur, c = _dense_step(params[li], spec.layers[li], cur)
+    last = len(params) - 1
+    for li in range(len(blocks), last + 1):
+        cur, c = _dense_step(params[li], cur, li < last)
         layer_caches.append(c)
     cache = (Cache(spec, params, layer_caches, T, B) if collect_cache
              else None)
@@ -264,13 +231,12 @@ def backward(cache: Cache, grad_out: np.ndarray) -> Params:
                          f"cached forward ({T}, {cache.batch}, {spec.output_dim})")
     grads = zeros_like_params(params)
     d_cur = grad_out
-    for li in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[li]
+    for li in range(len(params) - 1, -1, -1):
         need_dx = li > 0  # the network input's gradient is never used
-        if isinstance(layer, GRU):
+        if li < len(spec.gru):
             xs, hs, zr, hc = cache.layers[li]
             dxs = np.empty(xs.shape) if need_dx else None
-            dh_carry = np.zeros((cache.batch, layer.units))
+            dh_carry = np.zeros((cache.batch, spec.gru[li]))
             for t in range(T - 1, -1, -1):
                 dx, dh_carry = _gru_backward(
                     params[li], grads[li], (xs[t], hs[t], zr[t], hc[t]),
@@ -279,15 +245,16 @@ def backward(cache: Cache, grad_out: np.ndarray) -> Params:
                     dxs[t] = dx
             d_cur = dxs
         else:
-            d_cur = _dense_backward(params[li], grads[li], layer,
-                                    cache.layers[li], d_cur, need_dx)
+            d_cur = _dense_backward(params[li], grads[li], cache.layers[li],
+                                    d_cur, need_dx)
     return grads
 
 
-def _dense_backward(p, g, layer: Dense, c, dy, need_dx: bool = True):
+def _dense_backward(p, g, c, dy, need_dx: bool = True):
     x, y = c
-    # a relu caches its output: y > 0 exactly where its input was > 0
-    du = dy * (y > 0.0) if layer.activation == "relu" else dy
+    # a relu caches its output, y > 0 exactly where its input was > 0; the
+    # linear output layer caches None
+    du = dy if y is None else dy * (y > 0.0)
     flat_x = x.reshape(-1, x.shape[-1])
     flat_du = du.reshape(-1, du.shape[-1])
     g["w"] += flat_x.T @ flat_du

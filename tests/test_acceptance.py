@@ -15,7 +15,7 @@ from mecpriv.env import EnvParams, mdp
 from mecpriv.harness import (desk_env, episode_metrics, episode_rng, evaluate,
                              rollout_trace, run_episode, sweep_theta,
                              write_metrics_csv)
-from mecpriv.nn import Dense, GRU, NetworkSpec, gradient_check
+from mecpriv.nn import NetworkSpec, gradient_check
 from mecpriv.privacy import privacy_breakdown
 
 from conftest import EVAL_EPISODES, EVAL_SEEDS
@@ -61,11 +61,9 @@ def test_criterion_2_entropy_oracle_equivalence():
 
 
 def test_criterion_3_gradient_fidelity():
-    dense = NetworkSpec(input_dim=6, layers=(
-        Dense(8, "relu"), Dense(8, "relu"), Dense(4, "identity")))
-    gru_small = NetworkSpec(input_dim=5, layers=(GRU(16), Dense(4, "identity")))
-    gru_stack = NetworkSpec(input_dim=5, layers=(
-        GRU(8), GRU(8), Dense(8, "relu"), Dense(4, "identity")))
+    dense = NetworkSpec(input_dim=6, gru=(), dense=(8, 8), output_dim=4)
+    gru_small = NetworkSpec(input_dim=5, gru=(16,), dense=(), output_dim=4)
+    gru_stack = NetworkSpec(input_dim=5, gru=(8, 8), dense=(8,), output_dim=4)
     dense_err = gradient_check(dense, seed=7)
     gru_errs = [gradient_check(gru_small, seed=7, seq_len=6),
                 gradient_check(gru_stack, seed=11, seq_len=5)]

@@ -12,7 +12,7 @@ from mecpriv.baselines import GreedyPolicy, ThetaPrivatePolicy
 from mecpriv.env import (EnvParams, mdp, reward, sample_initial_state,
                          state_id, step)
 from mecpriv.harness import desk_agent, desk_env, evaluate, train
-from mecpriv.nn import (Adam, Dense, NetworkSpec, backward, clone_params,
+from mecpriv.nn import (Adam, NetworkSpec, backward, clone_params,
                         forward, forward_step, init_params, polyak_update)
 from mecpriv.nn.network import zeros_like_params
 
@@ -104,11 +104,11 @@ class TestEncoding:
 
 
 def bias_policy(q):
-    """A QPolicy on the state encoding whose net is one identity Dense
-    layer with zero weights, so its biases q are the Q values of every
-    state."""
-    spec = NetworkSpec(input_dim=state_dim(P),
-                       layers=(Dense(P.n_actions, "identity"),))
+    """A QPolicy on the state encoding whose net is its linear output
+    layer alone with zero weights, so its biases q are the Q values of
+    every state."""
+    spec = NetworkSpec(input_dim=state_dim(P), gru=(), dense=(),
+                       output_dim=P.n_actions)
     params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
     params[0]["b"][:] = q
     return QPolicy(spec, params, P)
@@ -491,7 +491,7 @@ def traced_peak_mib(fn) -> float:
 
 class TestUpdateMemory:
     """The paper-scale update (B 128, T 128, L 16, 3 x GRU(128) and
-    2 x Dense(128)) holds each activation once. Before, a burn-in kept
+    2 x dense(128)) holds each activation once. Before, a burn-in kept
     every GRU layer's (T, B, n) outputs, three 14 MiB arrays (a 44.2 MiB
     peak), and the update kept one encoding of all T + 1 slots and every
     hidden state twice (a peak of about 60 MiB)."""
@@ -625,6 +625,30 @@ class TestReplay:
         draws = [(int(rng.integers(0, kept)), int(rng.integers(0, L - T + 1)))
                  for _ in range(size)]
         return buf.sample_batch(cfg, np.random.default_rng(seed)), draws
+
+    @pytest.mark.parametrize("kept", [1, 2, 3, 5])
+    @pytest.mark.parametrize("L, T", [(20, 8), (20, 20), (7, 1)])
+    def test_window_draws_are_the_scalar_draws(self, kept, L, T):
+        # The reference draws an episode and then a start per window, one
+        # scalar draw each. With kept = 1 or T = L a bound is 1 and takes
+        # no number from the stream; the one draw over all bounds must
+        # give the same windows and leave the generator in the same state.
+        buf = EpisodeBuffer(kept * L, L)
+        for k in range(kept + 2):  # the last kept episodes stay
+            buf.extend(np.full(L + 1, self.S0), k * L + np.arange(L),
+                       np.zeros(L))
+            buf.end_episode()
+        cfg = AgentConfig(batch_size=16, seq_len=T, tbptt_len=T)
+        for seed in range(20):
+            want = np.random.default_rng(seed)
+            draws = [(want.integers(0, kept), want.integers(0, L - T + 1))
+                     for _ in range(cfg.batch_size)]
+            rng = np.random.default_rng(seed)
+            _, _, acts, _ = buf.sample_batch(cfg, rng)
+            # a window's first action is (2 + episode) * L + start
+            assert np.array_equal(acts[0], [(2 + e) * L + w
+                                            for e, w in draws])
+            assert rng.bit_generator.state == want.bit_generator.state
 
     def _tagged(self, buf, L, tag):
         """One closed episode whose every action is tag."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mecpriv.cli import build_parser, main
-from mecpriv.nn import (Dense, GRU, NetworkSpec, init_params,
+from mecpriv.nn import (CheckpointError, NetworkSpec, init_params,
                         load_checkpoint, save_checkpoint)
 from mecpriv.nn.checkpoint import MAGIC
 
@@ -222,20 +222,15 @@ class TestParserReuse:
         assert greedy("after-errors") == first
 
 
-def _net(input_dim, hidden, output_dim=54):
-    return NetworkSpec(input_dim=input_dim,
-                       layers=(hidden, Dense(output_dim, "identity")))
-
-
 class TestCheckpointMismatch:
     # desk widths: state encoding 12, observation encoding 66, 54 actions
     @pytest.mark.parametrize("kind, spec", [
-        ("drqn", _net(10, GRU(8))),
-        ("dqn", _net(66, Dense(8, "relu"))),
-        ("drqn", _net(66, GRU(8), output_dim=7)),
-        ("dqn", _net(12, Dense(8, "relu"), output_dim=55)),
-        ("dqn", _net(12, GRU(8))),
-        ("drqn", _net(66, Dense(8, "relu"))),
+        ("drqn", NetworkSpec(10, (8,), (), 54)),
+        ("dqn", NetworkSpec(66, (), (8,), 54)),
+        ("drqn", NetworkSpec(66, (8,), (), 7)),
+        ("dqn", NetworkSpec(12, (), (8,), 55)),
+        ("dqn", NetworkSpec(12, (8,), (), 54)),
+        ("drqn", NetworkSpec(66, (), (8,), 54)),
     ], ids=["drqn-input", "dqn-input", "drqn-output", "dqn-output",
             "dqn-with-gru", "drqn-without-gru"])
     @pytest.mark.parametrize("command", ["evaluate", "attack"])
@@ -265,8 +260,8 @@ class TestCheckpointMismatch:
 
     @classmethod
     def _sized(cls, desc, spec):
-        """A file whose parameter bytes fit spec, the net that truncating
-        desc's sizes to integers gives: a valid desk DRQN."""
+        """A file whose parameter bytes fit spec, the net desc's widths
+        give by position, so only its descriptor is at fault."""
         n = sum(a.size for layer in init_params(spec, np.random.default_rng(0))
                 for a in layer.values())
         return cls._file(desc) + bytes(8 * n)
@@ -274,9 +269,12 @@ class TestCheckpointMismatch:
     @pytest.mark.parametrize("defect", [
         "short-header", "bad-json", "no-input-dim", "zero-units",
         "bad-activation", "huge-layer", "float-input-dim", "float-units",
-        "bool-units", "dense-before-gru"])
+        "bool-units", "dense-before-gru", "deep-nesting", "extra-key",
+        "extra-field", "identity-hidden", "relu-output", "gru-output",
+        "unknown-kind", "no-layers"])
     def test_malformed_is_config_error(self, tmp_path, capsys, defect):
         out = ["dense", 54, "identity"]
+        gru8 = NetworkSpec(66, (8,), (), 54)
         content = {
             "short-header": MAGIC + b"\x01\x00",
             "bad-json": self._file(b"{input_dim: 66"),
@@ -290,28 +288,49 @@ class TestCheckpointMismatch:
                                       "layers": [["gru", 10 ** 12], out]}),
             # sizes must be integers, not numbers that int() truncates
             "float-input-dim": self._sized(
-                {"input_dim": 66.5, "layers": [["gru", 8], out]},
-                _net(66, GRU(8))),
+                {"input_dim": 66.5, "layers": [["gru", 8], out]}, gru8),
             "float-units": self._sized(
                 {"input_dim": 66, "layers": [["gru", 8],
-                                             ["dense", 1.5, "identity"], out]},
-                NetworkSpec(66, (GRU(8), Dense(1, "identity"),
-                                 Dense(54, "identity")))),
+                                             ["dense", 1.5, "relu"], out]},
+                NetworkSpec(66, (8,), (1,), 54)),
             "bool-units": self._sized(
                 {"input_dim": 66, "layers": [["gru", True], out]},
-                _net(66, GRU(1))),
-            # sized for its layers: Dense(66, 8), GRU(8, 8), Dense(8, 54)
+                NetworkSpec(66, (1,), (), 54)),
+            # sized for its layers: dense(66, 8), GRU(8, 8), dense(8, 54)
             "dense-before-gru": self._file(
                 {"input_dim": 66, "layers": [["dense", 8, "relu"],
                                              ["gru", 8], out]})
             + bytes(8 * (66 * 8 + 8 + 2 * 8 * 24 + 24 + 8 * 54 + 54)),
+            # deeper than the JSON decoder recurses
+            "deep-nesting": self._file(b"[" * 100000 + b"]" * 100000),
+            # descriptors save_checkpoint never writes, each sized for
+            # the net its widths give by position
+            "extra-key": self._sized({"input_dim": 66, "layers": [
+                ["gru", 8], out], "note": 1}, gru8),
+            "extra-field": self._sized({"input_dim": 66, "layers": [
+                ["gru", 8, "tanh"], out]}, gru8),
+            "identity-hidden": self._sized({"input_dim": 66, "layers": [
+                ["gru", 8], ["dense", 8, "identity"], out]},
+                NetworkSpec(66, (8,), (8,), 54)),
+            "relu-output": self._sized({"input_dim": 66, "layers": [
+                ["gru", 8], ["dense", 54, "relu"]]}, gru8),
+            # sized for its layers: GRU(66, 8), GRU(8, 54)
+            "gru-output": self._file({"input_dim": 66, "layers": [
+                ["gru", 8], ["gru", 54]]})
+            + bytes(8 * (66 * 24 + 8 * 24 + 24 + 8 * 162 + 54 * 162 + 162)),
+            "unknown-kind": self._sized({"input_dim": 66, "layers": [
+                ["lstm", 8], out]}, NetworkSpec(66, (), (8,), 54)),
+            "no-layers": self._file({"input_dim": 66, "layers": []}),
         }[defect]
         path = tmp_path / "net.qnet"
         path.write_bytes(content)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
         assert main(["evaluate", "--agent", "drqn", "--scale", "desk",
                      "--checkpoint", str(path),
                      "--out", str(tmp_path / "out")]) == 3
         assert "config error: cannot load checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidateConfig:
@@ -419,7 +438,7 @@ class TestSweepLambda:
         rows = read_csv(out / "sweep_lambda.csv")
         assert rows[0]["label"] == f"{agent} lambda=10"
         spec, _ = load_checkpoint(out / "checkpoint_lambda10.qnet")
-        assert bool(spec.gru_units) == (agent == "drqn")
+        assert bool(spec.gru) == (agent == "drqn")
 
     @pytest.mark.parametrize("agent", ["greedy", "theta", "uniform"])
     def test_baseline_agent_is_config_error(self, tmp_path, capsys, agent):

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from mecpriv.nn import (Adam, CheckpointError, Dense, GRU, NetworkSpec,
+from mecpriv.nn import (Adam, CheckpointError, NetworkSpec,
                         backward, clone_params, forward, forward_step,
                         gradient_check, init_hidden, init_params,
                         load_checkpoint, polyak_update, save_checkpoint,
@@ -13,10 +13,8 @@ from mecpriv.nn import (Adam, CheckpointError, Dense, GRU, NetworkSpec,
 from mecpriv.nn.checkpoint import FORMAT_VERSION, MAGIC
 from mecpriv.nn.network import _gru_backward, _gru_step
 
-GRU_SPEC = NetworkSpec(input_dim=4, layers=(GRU(6), Dense(5, "relu"),
-                                            Dense(3, "identity")))
-DENSE_SPEC = NetworkSpec(input_dim=6, layers=(
-    Dense(8, "relu"), Dense(8, "relu"), Dense(4, "identity")))
+GRU_SPEC = NetworkSpec(input_dim=4, gru=(6,), dense=(5,), output_dim=3)
+DENSE_SPEC = NetworkSpec(input_dim=6, gru=(), dense=(8, 8), output_dim=4)
 
 
 def random_net(spec, seed=0):
@@ -34,8 +32,8 @@ def gates(p):
 def gru_case(batch, seed=4):
     """A 9-input, 16-unit GRU layer with nonzero biases, and an input and
     hidden state of the given batch."""
-    params, rng = random_net(NetworkSpec(input_dim=9, layers=(
-        GRU(16), Dense(3, "identity"))), seed)
+    params, rng = random_net(NetworkSpec(input_dim=9, gru=(16,), dense=(),
+                                         output_dim=3), seed)
     p = {k: v + (0.1 * rng.standard_normal(v.shape) if k == "b" else 0)
          for k, v in params[0].items()}
     x = rng.standard_normal((batch, 9))
@@ -44,35 +42,28 @@ def gru_case(batch, seed=4):
 
 
 class TestSpec:
-    def test_last_layer_must_be_identity_dense(self):
-        with pytest.raises(ValueError):
-            NetworkSpec(input_dim=3, layers=(Dense(4, "relu"),))
-        with pytest.raises(ValueError):
-            NetworkSpec(input_dim=3, layers=(GRU(4),))
-
-    def test_gru_after_dense_rejected(self):
-        with pytest.raises(ValueError, match="GRU layers must come before"):
-            NetworkSpec(input_dim=3, layers=(Dense(4, "relu"), GRU(4),
-                                             Dense(2, "identity")))
-
-    def test_bad_activation_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkSpec(input_dim=3, layers=(Dense(4, "tanh"),
-                                             Dense(2, "identity")))
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_every_width_below_one_rejected(self, w):
+        NetworkSpec(3, (4, 4), (5, 5), 2)
+        for args in [(w, (4, 4), (5, 5), 2), (3, (w, 4), (5, 5), 2),
+                     (3, (4, w), (5, 5), 2), (3, (4, 4), (w, 5), 2),
+                     (3, (4, 4), (5, w), 2), (3, (4, 4), (5, 5), w)]:
+            with pytest.raises(ValueError, match="every width must be >= 1"):
+                NetworkSpec(*args)
 
     def test_default_recurrent_stack(self):
         from mecpriv.agents import AgentConfig, network_spec
         from mecpriv.env import EnvParams
         spec = network_spec(EnvParams(), AgentConfig(), recurrent=True)
-        assert [type(l).__name__ for l in spec.layers] == \
-            ["GRU"] * 3 + ["Dense"] * 3
-        assert [l.units for l in spec.layers] == [128, 128, 128, 128, 128, 54]
-        assert spec.layers[-1].activation == "identity"
+        assert spec == NetworkSpec(input_dim=66, gru=(128,) * 3,
+                                   dense=(128,) * 2, output_dim=54)
+        assert spec.layer_dims() == [(66, 128)] + [(128, 128)] * 4 + \
+            [(128, 54)]
 
 
 class TestForward:
     def test_zero_gru_params_halve_hidden(self):
-        spec = NetworkSpec(input_dim=3, layers=(GRU(4), Dense(4, "identity")))
+        spec = NetworkSpec(input_dim=3, gru=(4,), dense=(), output_dim=4)
         params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
         v = np.array([[0.3, -0.2, 0.9, 0.5]])
         x = np.array([[[1.0, 2.0, -1.0]]])
@@ -81,7 +72,7 @@ class TestForward:
         assert np.allclose(h[0], 0.5 * v)
 
     def test_identity_dense_passthrough(self):
-        spec = NetworkSpec(input_dim=3, layers=(Dense(3, "identity"),))
+        spec = NetworkSpec(input_dim=3, gru=(), dense=(), output_dim=3)
         params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
         params[0]["w"] = np.eye(3)
         xs = np.random.default_rng(1).standard_normal((4, 2, 3))
@@ -123,8 +114,7 @@ class TestForward:
         # The cached, uncached and hidden-only passes step the whole GRU
         # stack per timestep; each must give the bits of a layer at a time
         # over the whole sequence, the order before.
-        spec = NetworkSpec(input_dim=4, layers=(
-            GRU(6), GRU(5), Dense(5, "relu"), Dense(3, "identity")))
+        spec = NetworkSpec(input_dim=4, gru=(6, 5), dense=(5,), output_dim=3)
         params, rng = random_net(spec, 6)
         for batch, with_h0 in itertools.product((1, 2, 32), (False, True)):
             xs = rng.standard_normal((7, batch, 4))
@@ -202,7 +192,7 @@ class TestBackward:
         assert all(np.all(g == 0.0) for layer in grads for g in layer.values())
 
     def test_linear_layer_closed_form(self):
-        spec = NetworkSpec(input_dim=3, layers=(Dense(2, "identity"),))
+        spec = NetworkSpec(input_dim=3, gru=(), dense=(), output_dim=2)
         params, rng = random_net(spec, 1)
         x = rng.standard_normal((1, 4, 3))
         out, _, cache = forward(spec, params, x)
@@ -215,17 +205,16 @@ class TestBackward:
         assert gradient_check(DENSE_SPEC, 7) <= 1e-6
 
     def test_gradcheck_gru(self):
-        spec = NetworkSpec(input_dim=5, layers=(GRU(4), Dense(4, "identity")))
+        spec = NetworkSpec(input_dim=5, gru=(4,), dense=(), output_dim=4)
         assert gradient_check(spec, 7, seq_len=6) <= 1e-4
 
     def test_gradcheck_stacked(self):
-        spec = NetworkSpec(input_dim=5, layers=(
-            GRU(4), GRU(3), Dense(6, "relu"), Dense(4, "identity")))
+        spec = NetworkSpec(input_dim=5, gru=(4, 3), dense=(6,), output_dim=4)
         assert gradient_check(spec, 11, seq_len=5) <= 1e-4
 
     def test_corrupted_gradient_detected(self):
         # negative control: a broken analytic gradient must show up
-        spec = NetworkSpec(input_dim=3, layers=(Dense(3, "identity"),))
+        spec = NetworkSpec(input_dim=3, gru=(), dense=(), output_dim=3)
         params, rng = random_net(spec, 2)
         xs = rng.standard_normal((2, 1, 3))
         target = rng.standard_normal((2, 1, 3))
@@ -337,8 +326,7 @@ class TestCheckpoint:
     def test_v1_layout_stores_gru_gates_one_by_one(self, tmp_path):
         # The file keeps the per-gate order of format 1, whatever the
         # in-memory layout: w_z, u_z, b_z, w_r, .., b_h per GRU layer.
-        spec = NetworkSpec(input_dim=4, layers=(GRU(3), GRU(2),
-                                                Dense(2, "identity")))
+        spec = NetworkSpec(input_dim=4, gru=(3, 2), dense=(), output_dim=2)
         rng = np.random.default_rng(17)
         blob = (b'{"input_dim":4,"layers":[["gru",3],["gru",2],'
                 b'["dense",2,"identity"]]}')
@@ -408,7 +396,7 @@ class TestInit:
                 assert np.all(np.abs(arr) <= lim)
 
     def test_gru_init_draws_gate_by_gate(self):
-        spec = NetworkSpec(input_dim=3, layers=(GRU(2), Dense(1, "identity")))
+        spec = NetworkSpec(input_dim=3, gru=(2,), dense=(), output_dim=1)
         params, _ = random_net(spec, 8)
         rng = np.random.default_rng(8)
         for gate in "zrh":
