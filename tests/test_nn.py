@@ -51,6 +51,21 @@ class TestSpec:
             with pytest.raises(ValueError, match="every width must be >= 1"):
                 NetworkSpec(*args)
 
+    def test_gru_after_dense_rejected(self, tmp_path):
+        # A spec has no way to put a GRU after a dense layer; a checkpoint
+        # descriptor does, and the loader must not build a spec from it.
+        blob = json.dumps({"input_dim": 3, "layers": [
+            ["dense", 4, "relu"], ["gru", 4], ["dense", 2, "identity"]]},
+            sort_keys=True, separators=(",", ":")).encode()
+        # sized for its layers: dense(3, 4), GRU(4, 4), dense(4, 2)
+        n = 3 * 4 + 4 + 2 * 4 * 12 + 12 + 4 * 2 + 2
+        path = tmp_path / "net.qnet"
+        path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob))
+                         + blob + bytes(8 * n))
+        with pytest.raises(CheckpointError,
+                           match="layers must be GRU, then relu dense"):
+            load_checkpoint(path)
+
     def test_default_recurrent_stack(self):
         from mecpriv.agents import AgentConfig, network_spec
         from mecpriv.env import EnvParams
