@@ -16,10 +16,15 @@ truncated backpropagation a matter of calling forward per bundle.
 
 The cache holds each activation once. A GRU layer's steps write in place
 into preallocated blocks: its states hs (T + 1, B, n) with hs[0] the
-initial state, its gates z | r (T, B, 2n) and its candidates hc (T, B, n);
-its input is the layer below's states, a view. A dense layer keeps its
-input and, unless it is the output layer, its relu output. A hidden-only
-pass (a burn-in) keeps just each layer's running (B, n) state.
+initial state and, while the layer's (T, B, 3n) gate block takes at most
+GATE_BYTES, its gates z | r (T, B, 2n) and its candidates hc (T, B, n);
+its input is the layer below's states, a view. A layer over the limit
+keeps its input and states alone, and backward rebuilds each step's gates
+from them just before that step's gradient, with the forward's own calls,
+so the gradients have the same bits either way (memory-efficient BPTT,
+Gruslys et al., 2016). A dense layer keeps its input and, unless it is
+the output layer, its relu output. A hidden-only pass (a burn-in) keeps
+just each layer's running (B, n) state.
 """
 from __future__ import annotations
 
@@ -28,6 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 Params = list[dict[str, np.ndarray]]
+
+# Most bytes of a GRU layer's cached gates and candidates; a larger layer's
+# are rebuilt step by step in backward instead of held.
+GATE_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -113,12 +122,9 @@ def _dense_step(p, x, relu: bool):
     return y, (x, None)
 
 
-def _gru_step(p, x, h, zr=None, hc=None, out=None):
-    """One GRU timestep; returns the new hidden state.
-
-    zr (B, 2n), hc (B, n) and out (B, n) are optional arrays to write the
-    gates z | r, the candidate and the new state into; out must not be h.
-    """
+def _gru_gates(p, x, h, zr=None, hc=None):
+    """One GRU timestep's gates z | r (B, 2n) and candidate hc (B, n),
+    written into zr and hc if given; returns (zr, hc)."""
     n = h.shape[1]
     w, u, b = p["w"], p["u"], p["b"]
     xw = x @ w
@@ -131,11 +137,21 @@ def _gru_step(p, x, h, zr=None, hc=None, out=None):
     zr += xw[:, :2 * n]
     zr += b[:2 * n]
     _sigmoid_(zr)
-    z, r = zr[:, :n], zr[:, n:]
-    hc = np.matmul(r * h, u[:, 2 * n:], out=hc)
+    hc = np.matmul(zr[:, n:] * h, u[:, 2 * n:], out=hc)
     hc += xw[:, 2 * n:]
     hc += b[2 * n:]
     np.tanh(hc, out=hc)
+    return zr, hc
+
+
+def _gru_step(p, x, h, zr=None, hc=None, out=None):
+    """One GRU timestep; returns the new hidden state.
+
+    zr (B, 2n), hc (B, n) and out (B, n) are optional arrays to write the
+    gates z | r, the candidate and the new state into; out must not be h.
+    """
+    zr, hc = _gru_gates(p, x, h, zr, hc)
+    z = zr[:, :h.shape[1]]
     h_new = np.subtract(1.0, z, out=out)
     h_new *= h
     h_new += z * hc
@@ -146,7 +162,9 @@ def _gru_step(p, x, h, zr=None, hc=None, out=None):
 class Cache:
     spec: NetworkSpec
     params: Params
-    layers: list  # per layer: GRU -> (x, hs, zr, hc), dense -> (x, y)
+    # per layer: GRU -> (x, hs, zr, hc), with zr and hc None for a layer
+    # whose gates backward rebuilds; dense -> (x, y)
+    layers: list
     seq_len: int
     batch: int
 
@@ -178,8 +196,9 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
             v.shape != (B, n) for v, n in zip(h0, units)):
         raise ValueError("hidden state shapes do not match spec")
     # Per GRU layer, the blocks its steps write: states (T + 1, B, n) from
-    # the initial one on, gates z | r (T, B, 2n) and candidates (T, B, n).
-    # A row of `none` is None: that step allocates its own array.
+    # the initial one on, gates z | r (T, B, 2n) and candidates (T, B, n),
+    # the gates only while they fit in GATE_BYTES. A row of `none` is
+    # None: that step allocates its own array.
     none = [None] * (T + 1)
     blocks = []
     for i, n in enumerate(units):
@@ -188,7 +207,8 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
         if keep_h:
             hs[0] = h0[i]
         blocks.append((hs, np.empty((T, B, 2 * n)), np.empty((T, B, n)))
-                      if collect_cache else (hs, none, none))
+                      if collect_cache and T * B * 3 * n * 8 <= GATE_BYTES
+                      else (hs, none, none))
     h = list(h0)
     for t in range(T):
         x = xs[t]
@@ -199,7 +219,9 @@ def forward(spec: NetworkSpec, params: Params, xs: np.ndarray,
     cur = blocks[-1][0][1:] if blocks else xs
     # a GRU layer's input is the network's, then the layer below's states
     ins = [xs] + [hs[1:] for hs, _, _ in blocks[:-1]] if collect_cache else []
-    layer_caches = [(x, *blk) for x, blk in zip(ins, blocks)]
+    # a layer whose gates backward rebuilds caches None for them
+    layer_caches = [(x, hs, *((None, None) if zr is none else (zr, hc)))
+                    for x, (hs, zr, hc) in zip(ins, blocks)]
     last = len(params) - 1
     for li in range(len(blocks), last + 1):
         cur, c = _dense_step(params[li], cur, li < last)
@@ -221,45 +243,59 @@ def backward(cache: Cache, grad_out: np.ndarray) -> Params:
     """Exact gradients w.r.t. every parameter for the cached forward pass.
 
     grad_out holds dLoss/dOutput for each timestep, shape (T, B, out).
-    Gradients through the initial hidden state are discarded.
+    Gradients through the initial hidden state are discarded. Neither
+    grad_out nor the cache is written to, and each layer's gradients are
+    allocated only when backward reaches that layer.
     """
     spec, params = cache.spec, cache.params
-    T = cache.seq_len
+    T, B = cache.seq_len, cache.batch
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (T, cache.batch, spec.output_dim):
+    if grad_out.shape != (T, B, spec.output_dim):
         raise ValueError(f"gradient shape {grad_out.shape} does not match "
-                         f"cached forward ({T}, {cache.batch}, {spec.output_dim})")
-    grads = zeros_like_params(params)
+                         f"cached forward ({T}, {B}, {spec.output_dim})")
+    grads = [None] * len(params)
     d_cur = grad_out
     for li in range(len(params) - 1, -1, -1):
         need_dx = li > 0  # the network input's gradient is never used
+        p = params[li]
+        g = grads[li] = {k: np.zeros_like(v) for k, v in p.items()}
         if li < len(spec.gru):
             xs, hs, zr, hc = cache.layers[li]
+            n = spec.gru[li]
+            if zr is None:  # rebuilt per step into one pair of arrays
+                zr_t, hc_t = np.empty((B, 2 * n)), np.empty((B, n))
             dxs = np.empty(xs.shape) if need_dx else None
-            dh_carry = np.zeros((cache.batch, spec.gru[li]))
+            dh_carry = np.zeros((B, n))
             for t in range(T - 1, -1, -1):
-                dx, dh_carry = _gru_backward(
-                    params[li], grads[li], (xs[t], hs[t], zr[t], hc[t]),
-                    d_cur[t] + dh_carry, need_dx)
+                if zr is None:
+                    _gru_gates(p, xs[t], hs[t], zr_t, hc_t)
+                else:
+                    zr_t, hc_t = zr[t], hc[t]
+                dx, dh_carry = _gru_backward(p, g, (xs[t], hs[t], zr_t, hc_t),
+                                             d_cur[t] + dh_carry, need_dx)
                 if need_dx:
                     dxs[t] = dx
             d_cur = dxs
         else:
-            d_cur = _dense_backward(params[li], grads[li], cache.layers[li],
-                                    d_cur, need_dx)
+            # only the output layer reads grad_out; a relu layer's dy is the
+            # dx that the layer above allocated
+            d_cur = _dense_backward(p, g, cache.layers[li], d_cur, need_dx)
     return grads
 
 
 def _dense_backward(p, g, c, dy, need_dx: bool = True):
+    """A dense layer's gradients into g; returns dx. A relu layer masks dy
+    in place."""
     x, y = c
     # a relu caches its output, y > 0 exactly where its input was > 0; the
     # linear output layer caches None
-    du = dy if y is None else dy * (y > 0.0)
+    if y is not None:
+        dy *= y > 0.0
     flat_x = x.reshape(-1, x.shape[-1])
-    flat_du = du.reshape(-1, du.shape[-1])
-    g["w"] += flat_x.T @ flat_du
-    g["b"] += flat_du.sum(axis=0)
-    return du @ p["w"].T if need_dx else None
+    flat_dy = dy.reshape(-1, dy.shape[-1])
+    g["w"] += flat_x.T @ flat_dy
+    g["b"] += flat_dy.sum(axis=0)
+    return dy @ p["w"].T if need_dx else None
 
 
 def _gru_backward(p, g, c, dh_total, need_dx: bool = True):

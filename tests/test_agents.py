@@ -491,10 +491,13 @@ def traced_peak_mib(fn) -> float:
 
 class TestUpdateMemory:
     """The paper-scale update (B 128, T 128, L 16, 3 x GRU(128) and
-    2 x dense(128)) holds each activation once. Before, a burn-in kept
-    every GRU layer's (T, B, n) outputs, three 14 MiB arrays (a 44.2 MiB
-    peak), and the update kept one encoding of all T + 1 slots and every
-    hidden state twice (a peak of about 60 MiB)."""
+    2 x dense(128)) holds each activation once, and its GRU layers cache
+    their states only: each layer's (T, B, 3n) gate block is 6 MiB, over
+    GATE_BYTES, so backward rebuilds the gates step by step. Before, a
+    burn-in kept every GRU layer's (T, B, n) outputs, three 14 MiB arrays
+    (a 44.2 MiB peak), the update kept one encoding of all T + 1 slots and
+    every hidden state twice (a peak of about 60 MiB), and then the loss
+    bundle's gates and candidates (a peak of about 43 MiB)."""
 
     ENV = EnvParams()
     CFG = AgentConfig()
@@ -502,6 +505,20 @@ class TestUpdateMemory:
     def net(self, rng):
         spec = network_spec(self.ENV, self.CFG, True)
         return spec, init_params(spec, rng), init_params(spec, rng)
+
+    def update_peak(self, seed):
+        """The traced peak of a fresh-Adam sample_batch and q_update, as in
+        a training run's first update."""
+        rng = np.random.default_rng(seed)
+        spec, params, target = self.net(rng)
+        L = self.ENV.episode_len
+        buf = EpisodeBuffer(L, L)
+        buf.extend(rng.integers(0, self.ENV.n_states, L + 1),
+                   rng.integers(0, self.ENV.n_actions, L), rng.normal(size=L))
+        buf.end_episode()
+        return traced_peak_mib(lambda: q_update(
+            spec, params, target, Adam(1e-4),
+            buf.sample_batch(self.CFG, rng), self.ENV, self.CFG))
 
     def test_burn_in_keeps_only_the_hidden_state(self):
         # about 1.8 MiB: each layer's (B, n) state and one step's temporaries
@@ -515,21 +532,14 @@ class TestUpdateMemory:
         assert peak < 4.0
 
     def test_update_holds_each_activation_once(self):
-        # about 42.5 MiB with a fresh optimiser, as in a training run's first
-        # update: the cached loss bundle's states, gates and candidates
-        # (3 x 8.1 MiB), the dense head's outputs (4.8 MiB), the backward
-        # pass's gradients and Adam's first moments
-        rng = np.random.default_rng(1)
-        spec, params, target = self.net(rng)
-        L = self.ENV.episode_len
-        buf = EpisodeBuffer(L, L)
-        buf.extend(rng.integers(0, self.ENV.n_states, L + 1),
-                   rng.integers(0, self.ENV.n_actions, L), rng.normal(size=L))
-        buf.end_episode()
-        peak = traced_peak_mib(lambda: q_update(
-            spec, params, target, Adam(1e-4),
-            buf.sample_batch(self.CFG, rng), self.ENV, self.CFG))
-        assert peak < 50.0
+        assert self.update_peak(1) < 50.0
+
+    def test_update_caches_no_paper_scale_gates(self):
+        # about 25.8 MiB, in Adam's first step: the cached loss bundle's
+        # states (3 x 2.1 MiB) and dense head's outputs, the gradients,
+        # Adam's moments and the new parameters; 42.5-43.8 MiB with the
+        # gates cached
+        assert self.update_peak(1) < 30.0
 
 
 class TestReplay:

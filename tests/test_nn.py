@@ -10,11 +10,21 @@ from mecpriv.nn import (Adam, CheckpointError, NetworkSpec,
                         gradient_check, init_hidden, init_params,
                         load_checkpoint, polyak_update, save_checkpoint,
                         zeros_like_params)
+from mecpriv.nn import network
 from mecpriv.nn.checkpoint import FORMAT_VERSION, MAGIC
 from mecpriv.nn.network import _gru_backward, _gru_step
 
 GRU_SPEC = NetworkSpec(input_dim=4, gru=(6,), dense=(5,), output_dim=3)
 DENSE_SPEC = NetworkSpec(input_dim=6, gru=(), dense=(8, 8), output_dim=4)
+STACK_SPEC = NetworkSpec(input_dim=4, gru=(6, 5), dense=(5,), output_dim=3)
+
+
+@pytest.fixture(params=["gates-kept", "gates-rebuilt"])
+def gate_path(request, monkeypatch):
+    """Run a test with GATE_BYTES as is (small layers keep their gates) and
+    at 0 (every GRU layer's gates are rebuilt in backward)."""
+    if request.param == "gates-rebuilt":
+        monkeypatch.setattr(network, "GATE_BYTES", 0)
 
 
 def random_net(spec, seed=0):
@@ -129,7 +139,7 @@ class TestForward:
         # The cached, uncached and hidden-only passes step the whole GRU
         # stack per timestep; each must give the bits of a layer at a time
         # over the whole sequence, the order before.
-        spec = NetworkSpec(input_dim=4, gru=(6, 5), dense=(5,), output_dim=3)
+        spec = STACK_SPEC
         params, rng = random_net(spec, 6)
         for batch, with_h0 in itertools.product((1, 2, 32), (False, True)):
             xs = rng.standard_normal((7, batch, 4))
@@ -226,6 +236,58 @@ class TestBackward:
     def test_gradcheck_stacked(self):
         spec = NetworkSpec(input_dim=5, gru=(4, 3), dense=(6,), output_dim=4)
         assert gradient_check(spec, 11, seq_len=5) <= 1e-4
+
+    def test_gradcheck_stacked_batch(self, gate_path):
+        # batch 1 checks BLAS's matrix-vector path; training runs gemm
+        spec = NetworkSpec(input_dim=5, gru=(4, 3), dense=(6,), output_dim=4)
+        assert gradient_check(spec, 11, seq_len=5, batch=3) <= 1e-4
+
+    def test_rebuilt_gates_equal_kept_gates_bitwise(self, monkeypatch):
+        # A GRU layer whose (T, B, 3n) gate block is over GATE_BYTES caches
+        # no gates, and backward rebuilds them step by step with the
+        # forward's own calls: the gradients keep every bit. The middle
+        # limit is the GRU(5) layer's block exactly, so it keeps its gates
+        # and the GRU(6) layer below it does not.
+        params, rng = random_net(STACK_SPEC, 6)
+        for batch, with_h0 in itertools.product((1, 2, 32), (False, True)):
+            xs = rng.standard_normal((7, batch, 4))
+            h0 = ([np.tanh(rng.standard_normal((batch, n))) for n in (6, 5)]
+                  if with_h0 else None)
+            dy = rng.standard_normal((7, batch, 3))
+            runs = []
+            for limit in (network.GATE_BYTES, 7 * batch * 15 * 8, 0):
+                monkeypatch.setattr(network, "GATE_BYTES", limit)
+                out, _, cache = forward(STACK_SPEC, params, xs, h0)
+                for n, (_, hs, zr, hc) in zip((6, 5), cache.layers):
+                    assert hs.shape == (8, batch, n)
+                    if 7 * batch * 3 * n * 8 <= limit:
+                        assert zr.shape == (7, batch, 2 * n)
+                        assert hc.shape == (7, batch, n)
+                    else:
+                        assert zr is None and hc is None
+                runs.append((out, backward(cache, dy)))
+            (out, grads), *others = runs
+            for out_b, grads_b in others:
+                assert np.array_equal(out_b, out)
+                assert all(np.array_equal(a[k], b[k])
+                           for a, b in zip(grads, grads_b) for k in a)
+
+    def test_backward_writes_nothing_and_repeats(self, gate_path):
+        # backward reads grad_out and the cache only, so a second backward
+        # on the same cache gives the same gradients
+        params, rng = random_net(STACK_SPEC, 12)
+        xs = rng.standard_normal((6, 4, 4))
+        out, _, cache = forward(STACK_SPEC, params, xs)
+        dy = rng.standard_normal(out.shape)
+        dy_before = dy.copy()
+        arrays = [a for layer in cache.layers for a in layer if a is not None]
+        before = [a.copy() for a in arrays]
+        first = backward(cache, dy)
+        second = backward(cache, dy)
+        assert np.array_equal(dy, dy_before)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+        assert all(np.array_equal(a[k], b[k])
+                   for a, b in zip(first, second) for k in a)
 
     def test_corrupted_gradient_detected(self):
         # negative control: a broken analytic gradient must show up
