@@ -16,6 +16,7 @@ from operator import add
 import numpy as np
 
 Tables = tuple[np.ndarray, np.ndarray]  # (t, d) and (t, g) count tables
+SLACK = 0.02  # how far a success rate may pass its bound and still be within
 
 
 @dataclass(frozen=True)
@@ -27,9 +28,9 @@ class AttackReport:
     n_eval: int
     unseen_t: tuple[int, ...]
 
-    def within_bound(self, slack: float = 0.02) -> bool:
-        return (self.success_d <= self.bound_d + slack
-                and self.success_g <= self.bound_g + slack)
+    def within_bound(self) -> bool:
+        return (self.success_d <= self.bound_d + SLACK
+                and self.success_g <= self.bound_g + SLACK)
 
 
 def _as_array(trace) -> np.ndarray:

@@ -66,7 +66,7 @@ class QPolicy:
 
 def q_update(spec, params, target_params, opt, batch, env: EnvParams,
              cfg: AgentConfig, baseline: float = 0.0, scale: float = 1.0):
-    """One gradient step on the mean TD loss; returns (params, loss).
+    """One gradient step on the mean TD loss, in place; returns the loss.
 
     batch is a replay store's (s, prev, acts, rews): (T + 1, B) state ids,
     previous actions of the same shape or None, and (T, B) actions and
@@ -102,5 +102,5 @@ def q_update(spec, params, target_params, opt, batch, env: EnvParams,
     err = taken - y
     dout = np.zeros_like(q_on)
     dout[kk, rows, cols] = loss_gradient(err, cfg.loss)
-    grads = backward(cache, dout)
-    return opt.step(params, grads), float(np.mean(err * err))
+    opt.step(params, backward(cache, dout))
+    return float(np.mean(err * err))

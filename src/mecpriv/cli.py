@@ -124,17 +124,18 @@ def _build_policy(kind: str, cfg: RunConfig, args):
     env = cfg.env
     if args.theta is not None and kind != "theta":
         raise ConfigError(f"--theta applies to the theta agent, not {kind!r}")
+    if args.checkpoint is not None and kind not in ("dqn", "drqn"):
+        raise ConfigError(f"--checkpoint applies to dqn and drqn, not {kind!r}")
     if kind == "greedy":
         return GreedyPolicy(env)
     if kind == "uniform":
         return UniformPolicy(env)
     if kind == "theta":
         return ThetaPrivatePolicy(env, 0.5 if args.theta is None else args.theta)
-    checkpoint = getattr(args, "checkpoint", None)
-    if checkpoint is None:
+    if args.checkpoint is None:
         raise ConfigError(f"--checkpoint required for agent {kind!r}")
     try:
-        spec, params = load_checkpoint(checkpoint)
+        spec, params = load_checkpoint(args.checkpoint)
     except (OSError, CheckpointError) as exc:
         raise ConfigError(f"cannot load checkpoint: {exc}") from exc
     width = obs_dim(env) if kind == "drqn" else state_dim(env)

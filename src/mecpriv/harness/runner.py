@@ -267,12 +267,11 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
             scored_to = n + 1
             if update and \
                     (batch := replay.sample_batch(cfg, rng)) is not None:
-                actor.params, _ = q_update(
-                    spec, actor.params, target, opt, batch, env, cfg,
-                    baseline.value, baseline.scale)
+                q_update(spec, actor.params, target, opt, batch, env, cfg,
+                         baseline.value, baseline.scale)
                 grad_steps += 1
                 if grad_steps % cfg.target_update_period == 0:
-                    target = polyak_update(target, actor.params, cfg.tau)
+                    polyak_update(target, actor.params, cfg.tau)
         replay.end_episode()
         curve.append((ep, total, eps))
     return TrainResult(label=label or kind, spec=spec, params=actor.params,

@@ -5,9 +5,11 @@ import numpy as np
 
 from .network import NetworkSpec, backward, forward, init_params
 
+STEP = 1e-5  # the central difference's half-width
+
 
 def gradient_check(spec: NetworkSpec, seed: int, seq_len: int = 4,
-                   batch: int = 1, step: float = 1e-5) -> float:
+                   batch: int = 1) -> float:
     """Max relative error between backprop and central differences.
 
     Uses the squared-error loss 0.5*sum((out - target)^2) on one random
@@ -32,12 +34,12 @@ def gradient_check(spec: NetworkSpec, seed: int, seq_len: int = 4,
             grad = layer_grads[name]
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
-                arr[idx] = orig + step
+                arr[idx] = orig + STEP
                 up = loss()
-                arr[idx] = orig - step
+                arr[idx] = orig - STEP
                 down = loss()
                 arr[idx] = orig
-                numeric = (up - down) / (2.0 * step)
+                numeric = (up - down) / (2.0 * STEP)
                 denom = max(abs(grad[idx]), abs(numeric), 1e-8)
                 max_err = max(max_err, abs(grad[idx] - numeric) / denom)
     return max_err

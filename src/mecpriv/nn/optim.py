@@ -1,9 +1,11 @@
-"""The Adam optimizer and the soft target-parameter update."""
+"""The Adam optimizer and the soft target-parameter update, both in place."""
 from __future__ import annotations
 
 import numpy as np
 
-from .network import Params
+from .network import Params, zeros_like_params
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's standard constants
 
 
 def _check_finite(grads: Params) -> None:
@@ -21,46 +23,41 @@ def _check_shapes(a: Params, b: Params, what: str) -> None:
 
 
 class Adam:
-    """Adam with standard defaults; state is keyed by parameter position."""
+    """Adam with the standard constants, its state keyed by parameter
+    position. step checks the gradients, then writes the moments and the
+    parameters in place, each in the textbook order of operations."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: Params | None = None
         self._v: Params | None = None
 
-    def step(self, params: Params, grads: Params) -> Params:
+    def step(self, params: Params, grads: Params) -> None:
         _check_shapes(params, grads, "adam step")
         _check_finite(grads)
         if self._m is None:
-            self._m = [{k: np.zeros_like(v) for k, v in layer.items()}
-                       for layer in params]
-            self._v = [{k: np.zeros_like(v) for k, v in layer.items()}
-                       for layer in params]
+            self._m = zeros_like_params(params)
+            self._v = zeros_like_params(params)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
-        out = []
+        bc1, bc2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            layer = {}
             for k in p:
-                m[k] = b1 * m[k] + (1.0 - b1) * g[k]
-                v[k] = b2 * v[k] + (1.0 - b2) * g[k] * g[k]
-                layer[k] = p[k] - self.lr * (m[k] / bc1) / (
-                    np.sqrt(v[k] / bc2) + self.eps)
-            out.append(layer)
-        return out
+                m[k] *= BETA1
+                m[k] += (1.0 - BETA1) * g[k]
+                v[k] *= BETA2
+                v[k] += (1.0 - BETA2) * g[k] * g[k]
+                p[k] -= self.lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + EPS)
 
 
-def polyak_update(target: Params, online: Params, tau: float) -> Params:
-    """Blend target parameters: tau on the old target, 1-tau on online."""
+def polyak_update(target: Params, online: Params, tau: float) -> None:
+    """Blend into target in place: tau on the old target, 1-tau on online.
+    (1 - tau) * online is formed first, so target may be online."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
     _check_shapes(target, online, "polyak update")
-    return [{k: tau * t[k] + (1.0 - tau) * o[k] for k in t}
-            for t, o in zip(target, online)]
+    for t, o in zip(target, online):
+        for k in t:
+            blend = (1.0 - tau) * o[k]
+            t[k] *= tau
+            t[k] += blend

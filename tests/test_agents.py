@@ -271,7 +271,7 @@ def reference_dqn_update(spec, params, target_params, opt, transitions, env,
                          cfg, baseline, scale):
     """The feed-forward update as it was written before the learners were
     merged: per-transition states, targets from a separate encoding of the
-    next states."""
+    next states. Steps opt on params in place; returns the loss."""
     next_states = np.array([tr[3] for tr in transitions])
     q_next = forward(spec, target_params,
                      encode(next_states, env)[None, :, :],
@@ -287,14 +287,16 @@ def reference_dqn_update(spec, params, target_params, opt, transitions, env,
     err = out[0][rows, actions] - y
     dout = np.zeros_like(out)
     dout[0][rows, actions] = loss_gradient(err, cfg.loss)
-    return opt.step(params, backward(cache, dout)), float(np.mean(err * err))
+    opt.step(params, backward(cache, dout))
+    return float(np.mean(err * err))
 
 
 def one_array_update(spec, params, target_params, opt, batch, env, cfg,
                      baseline, scale):
     """The update as it was when the replay store handed out one encoding
     of all T + 1 slots, which both nets' inputs viewed for the whole
-    update: burn-ins, then the online cached pass, then the target's."""
+    update: burn-ins, then the online cached pass, then the target's.
+    Steps opt on params in place; returns the loss."""
     s, prev, acts, rews = batch
     x = encode(s, env, prev)
     x_on, x_tg = x[:-1], x[1:]
@@ -315,7 +317,8 @@ def one_array_update(spec, params, target_params, opt, batch, env, cfg,
     err = q_on[kk, rows, cols] - y
     dout = np.zeros_like(q_on)
     dout[kk, rows, cols] = loss_gradient(err, cfg.loss)
-    return opt.step(params, backward(cache, dout)), float(np.mean(err * err))
+    opt.step(params, backward(cache, dout))
+    return float(np.mean(err * err))
 
 
 class TestTdTargets:
@@ -328,10 +331,9 @@ class TestTdTargets:
         batch = one_slot_batch(state_id(1, 0, 1, P), 0, r,
                                state_id(2, 0, 1, P))
         cfg = AgentConfig(gamma=gamma)
-        _, loss = q_update(self.SPEC, constant_q(self.SPEC, q),
-                           constant_q(self.SPEC, best), Adam(0.1), batch, P,
-                           cfg, baseline, scale)
-        return loss
+        return q_update(self.SPEC, constant_q(self.SPEC, q),
+                        constant_q(self.SPEC, best), Adam(0.1), batch, P,
+                        cfg, baseline, scale)
 
     def test_arithmetic(self):
         # target 1.0 + 0.5 * 2.0 = 2.0
@@ -372,7 +374,8 @@ class TestTdTargets:
             buf.extend([s, s2], [a], [r])
         cfg = dataclasses.replace(TINY_DQN, batch_size=64)
         batch = buf.sample_batch(cfg, np.random.default_rng(1))
-        _, loss = q_update(spec, params, target, Adam(0.1), batch, P, cfg)
+        loss = q_update(spec, clone_params(params), target, Adam(0.1), batch,
+                        P, cfg)
         s, _, acts, rews = batch
         x_on, x_tg, next_ids = encode(s[:-1], P), encode(s[1:], P), s[1:]
         errs = []
@@ -400,11 +403,11 @@ class TestTdTargets:
             buf.extend([s, s2], [a], [float(q_now[i, a])])
         cfg = dataclasses.replace(TINY_DQN, batch_size=16, gamma=0.0)
         batch = buf.sample_batch(cfg, np.random.default_rng(0))
-        new_params, loss = q_update(spec, params, params, Adam(0.1), batch,
-                                    P, cfg)
+        before = clone_params(params)
+        loss = q_update(spec, params, params, Adam(0.1), batch, P, cfg)
         assert loss == 0.0
         assert all(np.array_equal(a[k], b[k])
-                   for a, b in zip(params, new_params) for k in a)
+                   for a, b in zip(params, before) for k in a)
 
     @pytest.mark.parametrize("loss", ["mse", "huber"])
     def test_one_slot_update_is_the_dqn_update_bitwise(self, loss):
@@ -423,16 +426,16 @@ class TestTdTargets:
         batch = buf.sample_batch(cfg, np.random.default_rng(3))
         drawn = np.random.default_rng(3).integers(0, 32, size=20)
         opts = (Adam(1e-2), Adam(1e-2))
+        got, want = params, clone_params(params)  # each side updates its own
         for _ in range(3):  # Adam's moments carry over between steps
-            got, got_loss = q_update(spec, params, target, opts[0], batch, P,
-                                     cfg, 31.5, 17.25)
-            want, want_loss = reference_dqn_update(
-                spec, params, target, opts[1], [ring[i] for i in drawn], P,
+            got_loss = q_update(spec, got, target, opts[0], batch, P, cfg,
+                                31.5, 17.25)
+            want_loss = reference_dqn_update(
+                spec, want, target, opts[1], [ring[i] for i in drawn], P,
                 cfg, 31.5, 17.25)
             assert got_loss == want_loss
             assert all(np.array_equal(a[k], b[k])
                        for a, b in zip(got, want) for k in a)
-            params = got
 
     @pytest.mark.parametrize("loss", ["mse", "huber"])
     @pytest.mark.parametrize("seq_len, tbptt_len", [(8, 3), (8, 8)],
@@ -454,17 +457,43 @@ class TestTdTargets:
                        rng.normal(size=12))
             buf.end_episode()
         opts = (Adam(1e-2), Adam(1e-2))
+        got, want = params, clone_params(params)  # each side updates its own
         for _ in range(3):
             batch = buf.sample_batch(cfg, rng)
             assert (batch[1][0] == -1).any()  # some window starts an episode
-            got, got_loss = q_update(spec, params, target, opts[0], batch,
-                                     env, cfg, 0.5, 1.5)
-            want, want_loss = one_array_update(spec, params, target, opts[1],
-                                               batch, env, cfg, 0.5, 1.5)
+            got_loss = q_update(spec, got, target, opts[0], batch, env, cfg,
+                                0.5, 1.5)
+            want_loss = one_array_update(spec, want, target, opts[1], batch,
+                                         env, cfg, 0.5, 1.5)
             assert got_loss == want_loss
             assert all(np.array_equal(a[k], b[k])
                        for a, b in zip(got, want) for k in a)
-            params = got
+
+    def test_update_writes_the_online_arrays_in_place(self):
+        # the learner owns one set of arrays: the update writes each online
+        # array in place, leaves the target's bits and returns the loss
+        env = EnvParams(episode_len=12)
+        cfg = dataclasses.replace(TINY_DRQN, seq_len=8, tbptt_len=3,
+                                  batch_size=16)
+        rng = np.random.default_rng(19)
+        spec = network_spec(env, cfg, True)
+        params, target = (init_params(spec, rng) for _ in range(2))
+        buf = EpisodeBuffer(24, 12)
+        for _ in range(2):
+            buf.extend(rng.integers(0, 48, 13), rng.integers(0, 54, 12),
+                       rng.normal(size=12))
+            buf.end_episode()
+        arrays = [layer[k] for layer in params for k in layer]
+        start = [a.copy() for a in arrays]
+        target_bytes = [layer[k].tobytes() for layer in target for k in layer]
+        loss = q_update(spec, params, target, Adam(1e-2),
+                        buf.sample_batch(cfg, rng), env, cfg)
+        assert type(loss) is float and loss > 0.0
+        assert all(a is b for a, b in zip(
+            [layer[k] for layer in params for k in layer], arrays))
+        assert all(not np.array_equal(a, b) for a, b in zip(arrays, start))
+        assert [layer[k].tobytes() for layer in target for k in layer] == \
+            target_bytes
 
     def test_loss_gradient_shapes(self):
         err = np.array([[1.0, -4.0]])
@@ -497,7 +526,8 @@ class TestUpdateMemory:
     burn-in kept every GRU layer's (T, B, n) outputs, three 14 MiB arrays
     (a 44.2 MiB peak), the update kept one encoding of all T + 1 slots and
     every hidden state twice (a peak of about 60 MiB), and then the loss
-    bundle's gates and candidates (a peak of about 43 MiB)."""
+    bundle's gates and candidates (a peak of about 43 MiB), and Adam
+    built a new set of parameters beside the old one."""
 
     ENV = EnvParams()
     CFG = AgentConfig()
@@ -535,10 +565,12 @@ class TestUpdateMemory:
         assert self.update_peak(1) < 50.0
 
     def test_update_caches_no_paper_scale_gates(self):
-        # about 24.5 MiB, in Adam's first step: the cached loss bundle's
-        # states (3 x 2.1 MiB) and dense head's outputs, the gradients,
-        # Adam's moments and the new parameters; 42.5 MiB with the gates
-        # cached. A seed of its own, so the two bounds see two batches.
+        # about 22.8 MiB, in Adam's first step: the cached loss bundle's
+        # states (3 x 2.1 MiB) and dense head's outputs, the gradients and
+        # Adam's fresh moments (2 x 2.4 MiB), written in place; backward
+        # peaks at 22.4. 24.5 MiB when Adam built new parameters, 42.5 MiB
+        # with the gates cached. A seed of its own, so the two bounds see
+        # two batches.
         assert self.update_peak(2) < 30.0
 
 
@@ -825,12 +857,11 @@ def reference_train(kind, env, cfg, rng):
             total += r
             if n % cfg.update_every == 0 and \
                     (batch := replay.sample_batch(cfg, rng)) is not None:
-                actor.params, _ = q_update(
-                    spec, actor.params, target, opt, batch, env, cfg,
-                    baseline.value, baseline.scale)
+                q_update(spec, actor.params, target, opt, batch, env, cfg,
+                         baseline.value, baseline.scale)
                 grad_steps += 1
                 if grad_steps % cfg.target_update_period == 0:
-                    target = polyak_update(target, actor.params, cfg.tau)
+                    polyak_update(target, actor.params, cfg.tau)
         replay.end_episode()
         curve.append((ep, total, eps))
     return curve, actor.params
@@ -839,6 +870,30 @@ def reference_train(kind, env, cfg, rng):
 class TestChunkedTraining:
     """train scores rewards a chunk of slots at a time; every float must be
     that of the slot-by-slot loop."""
+
+    @pytest.mark.parametrize("kind", ["dqn", "drqn"])
+    def test_one_set_of_params_for_the_whole_run(self, kind, monkeypatch):
+        # every update and soft target update writes into the arrays that
+        # the acting policy and the result hold; none is rebound
+        import mecpriv.harness.runner as runner
+        seen = []
+
+        def spy(spec, params, target, *rest):
+            seen.append((params, target,
+                         [a for layer in params for a in layer.values()],
+                         [a for layer in target for a in layer.values()]))
+            return q_update(spec, params, target, *rest)
+
+        monkeypatch.setattr(runner, "q_update", spy)
+        cfg = dataclasses.replace(TINY_DRQN if kind == "drqn" else TINY_DQN,
+                                  target_update_period=1)
+        result = train(kind, TINY_ENV, cfg, np.random.default_rng(2))
+        assert len(seen) > 1
+        online = [a for layer in result.params for a in layer.values()]
+        for params, target, on_arrays, tg_arrays in seen:
+            assert params is result.params and target is seen[0][1]
+            assert all(a is b for a, b in zip(on_arrays, online))
+            assert all(a is b for a, b in zip(tg_arrays, seen[0][3]))
 
     @pytest.mark.parametrize("update_every", [1, 3, 7])
     @pytest.mark.parametrize("kind", ["dqn", "drqn"])
@@ -904,7 +959,9 @@ class TestGreedyActing:
 
         pol = QPolicy(spec, old, P)
         before = episode(pol)
-        pol.params = new  # as the trainer assigns after an update
+        for a, b in zip(old, new):  # as an update writes them, in place
+            for k in a:
+                a[k][...] = b[k]
         acts = episode(pol)
         # the same episode stepped through forward_step with the new params
         h, prev, want = None, -1, []

@@ -116,7 +116,12 @@ class TestExitCodes:
         ["--agent", "drqn"],
         ["--agent", "drqn", "--checkpoint", "{tmp}/garbage.qnet"],
         ["--agent", "greedy", "--theta", "0.3"],
-    ], ids=["no-checkpoint", "unreadable-checkpoint", "theta-on-greedy"])
+        ["--agent", "greedy", "--checkpoint", "{tmp}/missing.qnet"],
+        ["--agent", "theta", "--checkpoint", "{tmp}/missing.qnet"],
+        ["--agent", "uniform", "--checkpoint", "{tmp}/garbage.qnet"],
+    ], ids=["no-checkpoint", "unreadable-checkpoint", "theta-on-greedy",
+            "checkpoint-on-greedy", "checkpoint-on-theta",
+            "checkpoint-on-uniform"])
     def test_policy_error_leaves_no_output_dir(self, tmp_path, command,
                                                flags):
         (tmp_path / "garbage.qnet").write_bytes(b"not a checkpoint")

@@ -363,21 +363,49 @@ class TestOptim:
     def test_adam_first_step_magnitude(self):
         # bias-corrected first step moves by about lr regardless of scale
         for c in (0.1, 3.0, 250.0):
-            out = Adam(0.01).step([{"w": np.array([1.0])}],
-                                  [{"w": np.array([c])}])
-            assert out[0]["w"][0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+            params = [{"w": np.array([1.0])}]
+            assert Adam(0.01).step(params, [{"w": np.array([c])}]) is None
+            assert params[0]["w"][0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
     def test_nonfinite_gradient_rejected(self):
+        # a rejected step writes neither the params nor either moment
+        opt = Adam(0.1)
+        params = [{"w": np.array([1.0, 2.0]), "b": np.array([0.5])}]
+        opt.step(params, [{"w": np.array([0.3, -1.0]), "b": np.array([2.0])}])
+        before = [clone_params(x) for x in (params, opt._m, opt._v)]
         with pytest.raises(ValueError):
-            Adam(0.1).step([{"w": np.array([1.0])}],
-                           [{"w": np.array([np.nan])}])
+            opt.step(params, [{"w": np.array([1.0, 1.0]),
+                               "b": np.array([np.nan])}])
+        for got, want in zip((params, opt._m, opt._v), before):
+            assert all(np.array_equal(a[k], b[k])
+                       for a, b in zip(got, want) for k in a)
+        assert opt.t == 1
 
     def test_polyak_endpoints(self):
-        tgt = [{"w": np.array([0.0])}]
-        onl = [{"w": np.array([1.0])}]
-        assert polyak_update(tgt, onl, 0.0)[0]["w"][0] == 1.0
-        assert polyak_update(tgt, onl, 1.0)[0]["w"][0] == 0.0
-        assert polyak_update(tgt, onl, 0.5)[0]["w"][0] == 0.5
+        for tau, want in ((0.0, 1.0), (1.0, 0.0), (0.5, 0.5)):
+            tgt = [{"w": np.array([0.0])}]
+            assert polyak_update(tgt, [{"w": np.array([1.0])}], tau) is None
+            assert tgt[0]["w"][0] == want
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 0.99, 1 - 1e-4, 1.0])
+    def test_polyak_in_place_is_the_formula_bitwise(self, tau):
+        # the oracle: tau * t + (1 - tau) * o, a new array per entry
+        rng = np.random.default_rng(17)
+        target, online = (init_params(GRU_SPEC, rng) for _ in range(2))
+        want = [{k: tau * t[k] + (1.0 - tau) * o[k] for k in t}
+                for t, o in zip(target, online)]
+        arrays = [t[k] for t in target for k in t]
+        assert polyak_update(target, online, tau) is None
+        assert all(a is b for a, b in zip(
+            [t[k] for t in target for k in t], arrays))
+        assert all(a[k].tobytes() == b[k].tobytes()
+                   for a, b in zip(target, want) for k in a)
+        # aliased: online is the target itself
+        want = [{k: tau * t[k] + (1.0 - tau) * t[k] for k in t}
+                for t in target]
+        polyak_update(target, target, tau)
+        assert all(a[k].tobytes() == b[k].tobytes()
+                   for a, b in zip(target, want) for k in a)
 
     def test_polyak_validation(self):
         tgt = [{"w": np.array([0.0])}]
