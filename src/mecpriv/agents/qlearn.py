@@ -13,10 +13,12 @@ loss on every sampled slot.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from ..env import EnvParams, mdp
-from ..nn import backward, forward, forward_step, init_hidden
+from ..nn import backward, forward, forward_step, init_hidden, network
 from .common import AgentConfig, encode, loss_gradient, obs_dim
 
 
@@ -64,6 +66,11 @@ class QPolicy:
         return int(a)
 
 
+def _burn_in(spec, params, xs):
+    """The net's hidden state after a hidden-only pass over xs."""
+    return forward(spec, params, xs, collect_cache=False, outputs=False)[1]
+
+
 def q_update(spec, params, target_params, opt, batch, env: EnvParams,
              cfg: AgentConfig, baseline: float = 0.0, scale: float = 1.0):
     """One gradient step on the mean TD loss, in place; returns the loss.
@@ -71,6 +78,9 @@ def q_update(spec, params, target_params, opt, batch, env: EnvParams,
     batch is a replay store's (s, prev, acts, rews): (T + 1, B) state ids,
     previous actions of the same shape or None, and (T, B) actions and
     rewards. Rewards enter the TD targets as (r - baseline) / scale.
+    A large batch runs the target net's burn-in on a second thread (see
+    the module docstring); that thread ends before this returns, and an
+    exception it raised is raised here.
     """
     s, prev, acts, rews = batch
     T, B = acts.shape
@@ -83,10 +93,16 @@ def q_update(spec, params, target_params, opt, batch, env: EnvParams,
     h_on = h_tg = None
     if burn > 0:
         x = slots(0, burn + 1)
-        _, h_on, _ = forward(spec, params, x[:-1], collect_cache=False,
-                             outputs=False)
-        _, h_tg, _ = forward(spec, target_params, x[1:],
-                             collect_cache=False, outputs=False)
+        if (B * 3 * max(spec.gru, default=0) * 8 >= network.PAIR_BYTES
+                and len(os.sched_getaffinity(0)) > 1):
+            from concurrent.futures import ThreadPoolExecutor  # not at startup
+            with ThreadPoolExecutor(1) as pool:  # joined when the block ends
+                tg = pool.submit(_burn_in, spec, target_params, x[1:])
+                h_on = _burn_in(spec, params, x[:-1])
+            h_tg = tg.result()
+        else:
+            h_on = _burn_in(spec, params, x[:-1])
+            h_tg = _burn_in(spec, target_params, x[1:])
         del x  # dropped before the loss bundle's slots are encoded
     x = slots(burn, T + 1)
     # the target's pass first, so that only its maxima outlive it

@@ -40,6 +40,12 @@ Params = list[dict[str, np.ndarray]]
 # at desk scale, 0.4 MB per layer, it costs more time than it saves memory.
 GATE_BYTES = 2 ** 20
 
+# Fewest bytes of a batch's per-step gate block, B * 3 * max(gru) * 8, at
+# which an update runs the target net's burn-in on a second thread beside
+# the online net's. One BLAS thread measured 0.96-0.99x at 24-96 KiB (the
+# desk net is 24 KiB) and 1.53-1.87x at 192-384 KiB (the paper net's 384).
+PAIR_BYTES = 2 ** 17
+
 
 @dataclass(frozen=True)
 class NetworkSpec:

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from mecpriv.agents import (AgentConfig, EpisodeBuffer, QPolicy,
                             TransitionBuffer, encode, epsilon_at,
                             network_spec, obs_dim, q_update, state_dim)
+from mecpriv.agents import qlearn
 from mecpriv.agents.common import RewardBaseline, alpha_at, loss_gradient
 from mecpriv.baselines import GreedyPolicy, ThetaPrivatePolicy
 from mecpriv.env import (EnvParams, mdp, reward, sample_initial_state,
@@ -14,6 +17,7 @@ from mecpriv.env import (EnvParams, mdp, reward, sample_initial_state,
 from mecpriv.harness import desk_agent, desk_env, evaluate, train
 from mecpriv.nn import (Adam, NetworkSpec, backward, clone_params,
                         forward, forward_step, init_params, polyak_update)
+from mecpriv.nn import network
 from mecpriv.nn.network import zeros_like_params
 
 from conftest import action_id
@@ -502,6 +506,16 @@ class TestTdTargets:
                            np.array([[0.5, -0.5]]))
 
 
+def one_episode_buffer(env, rng) -> EpisodeBuffer:
+    """An episode store holding one random episode of env's length."""
+    L = env.episode_len
+    buf = EpisodeBuffer(L, L)
+    buf.extend(rng.integers(0, env.n_states, L + 1),
+               rng.integers(0, env.n_actions, L), rng.normal(size=L))
+    buf.end_episode()
+    return buf
+
+
 def traced_peak_mib(fn) -> float:
     """The most memory that fn's allocations held at once, by tracemalloc,
     above what was allocated when it was called."""
@@ -541,11 +555,7 @@ class TestUpdateMemory:
         a training run's first update."""
         rng = np.random.default_rng(seed)
         spec, params, target = self.net(rng)
-        L = self.ENV.episode_len
-        buf = EpisodeBuffer(L, L)
-        buf.extend(rng.integers(0, self.ENV.n_states, L + 1),
-                   rng.integers(0, self.ENV.n_actions, L), rng.normal(size=L))
-        buf.end_episode()
+        buf = one_episode_buffer(self.ENV, rng)
         return traced_peak_mib(lambda: q_update(
             spec, params, target, Adam(1e-4),
             buf.sample_batch(self.CFG, rng), self.ENV, self.CFG))
@@ -572,6 +582,99 @@ class TestUpdateMemory:
         # with the gates cached. A seed of its own, so the two bounds see
         # two batches.
         assert self.update_peak(2) < 30.0
+
+
+class TestPairedBurnIn:
+    """A batch whose per-step gate block reaches PAIR_BYTES runs the target
+    net's burn-in on one thread beside the online net's, on a machine with
+    more than one CPU, with the floats of the sequential passes."""
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def count_starts(monkeypatch) -> list:
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return started
+
+    @staticmethod
+    def setup(env, cfg, seed):
+        rng = np.random.default_rng(seed)
+        spec = network_spec(env, cfg, True)
+        params, target = (init_params(spec, rng) for _ in range(2))
+        return spec, params, target, one_episode_buffer(env, rng), rng
+
+    def test_threads_give_the_sequential_bits(self, monkeypatch):
+        # params and target differ, as do each window's slots t and t + 1,
+        # so the worker running the online net or reading x[:-1] moves the
+        # target's burned-in state and with it the loss and every step
+        env = EnvParams(episode_len=12)
+        cfg = dataclasses.replace(TINY_DRQN, seq_len=8, tbptt_len=3,
+                                  batch_size=16)
+        spec, params, target, buf, rng = self.setup(env, cfg, 23)
+        self.cpus(monkeypatch, 2)
+        started = self.count_starts(monkeypatch)
+        runs = []
+        for limit in (0, 2 ** 62):  # paired, then sequential
+            monkeypatch.setattr(network, "PAIR_BYTES", limit)
+            p, opt = clone_params(params), Adam(1e-2)
+            losses = [q_update(spec, p, target, opt,
+                               buf.sample_batch(cfg, np.random.default_rng(k)),
+                               env, cfg, 0.5, 1.5) for k in range(3)]
+            runs.append((losses, p, opt._m, opt._v))
+        assert len(started) == 3  # one thread per paired update
+        (loss_a, *arrays_a), (loss_b, *arrays_b) = runs
+        assert loss_a == loss_b
+        assert all(np.array_equal(a[k], b[k])
+                   for x, y in zip(arrays_a, arrays_b)
+                   for a, b in zip(x, y) for k in a)
+
+    def test_worker_error_is_raised_after_the_join(self, monkeypatch):
+        env = EnvParams(episode_len=12)
+        cfg = dataclasses.replace(TINY_DRQN, seq_len=8, tbptt_len=3)
+        spec, params, target, buf, rng = self.setup(env, cfg, 29)
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(network, "PAIR_BYTES", 0)
+        err = RuntimeError("target pass failed")
+
+        def forward_here_only(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise err
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(qlearn, "forward", forward_here_only)
+        before = threading.active_count()
+        start = clone_params(params)
+        with pytest.raises(RuntimeError) as info:
+            q_update(spec, params, target, Adam(1e-2),
+                     buf.sample_batch(cfg, rng), env, cfg)
+        assert info.value is err
+        assert threading.active_count() == before
+        assert all(np.array_equal(a[k], b[k])
+                   for a, b in zip(params, start) for k in a)
+
+    @pytest.mark.parametrize("scale, cpus, threads", [
+        ("desk", 2, 0), ("paper", 2, 1), ("paper", 1, 0)])
+    def test_the_rule(self, scale, cpus, threads, monkeypatch):
+        # desk: 32 x 3 x 32 x 8 = 24 KiB a step; paper: 128 x 3 x 128 x 8
+        # = 384 KiB, over PAIR_BYTES, but not on a single CPU
+        env, cfg = ((desk_env(), desk_agent()) if scale == "desk"
+                    else (EnvParams(), AgentConfig()))
+        assert cfg.seq_len > cfg.tbptt_len  # the update has a burn-in
+        spec, params, target, buf, rng = self.setup(env, cfg, 31)
+        self.cpus(monkeypatch, cpus)
+        started = self.count_starts(monkeypatch)
+        q_update(spec, params, target, Adam(1e-4),
+                 buf.sample_batch(cfg, rng), env, cfg)
+        assert len(started) == threads
 
 
 class TestReplay:
