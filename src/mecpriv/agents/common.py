@@ -139,9 +139,6 @@ class TrainResult:
     params: Params
     curve: list[tuple[int, float, float]] = field(default_factory=list)
 
-    def curve_rewards(self) -> np.ndarray:
-        return np.array([row[1] for row in self.curve])
-
 
 class RewardBaseline:
     """Running mean and spread of collected rewards, a training-only transform.

@@ -10,10 +10,13 @@ the online net's input one slot later, so the burn-in encodes burn + 1
 slots and the loss bundle L + 1, each only while its passes run.
 A DQN is the case T = 1 on a net with no GRU layer: no burn-in, and the
 loss on every sampled slot.
+
+When the update's per-step gate block, B * 3 * max(gru) * 8 bytes,
+reaches network.PAIR_BYTES, the target net's burn-in runs on a second
+thread beside the online net's. Each pass reads only the parameters and
+writes its own arrays, so the floats are those of the two passes in turn.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -93,8 +96,7 @@ def q_update(spec, params, target_params, opt, batch, env: EnvParams,
     h_on = h_tg = None
     if burn > 0:
         x = slots(0, burn + 1)
-        if (B * 3 * max(spec.gru, default=0) * 8 >= network.PAIR_BYTES
-                and len(os.sched_getaffinity(0)) > 1):
+        if B * 3 * max(spec.gru, default=0) * 8 >= network.PAIR_BYTES:
             from concurrent.futures import ThreadPoolExecutor  # not at startup
             with ThreadPoolExecutor(1) as pool:  # joined when the block ends
                 tg = pool.submit(_burn_in, spec, target_params, x[1:])

@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import attack_evaluation, fit, format_report
-from .agents import QPolicy, obs_dim, state_dim
+from .agents import QPolicy, network_spec
 from .baselines import GreedyPolicy, ThetaPrivatePolicy, UniformPolicy
 from .harness import (ConfigError, RunConfig, config_as_dict, evaluate,
                       load_config, rollout_trace, scaled_config, sweep_lambda,
                       sweep_theta, train, write_attack_csv,
                       write_learning_curve_csv, write_manifest,
                       write_metrics_csv)
+from .harness.config import POLICY_KINDS
 from .nn import (CheckpointError, NetworkSpec, gradient_check,
                  load_checkpoint, save_checkpoint)
 
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, help="output directory (or $MECPRIV_OUT)")
     common.add_argument("--scale", choices=("paper", "desk"), default="paper",
                         help="preset: full-scale or minutes-scale runs")
-    common.add_argument("--agent", choices=("dqn", "drqn", "greedy", "theta", "uniform"))
+    common.add_argument("--agent", choices=POLICY_KINDS)
     common.add_argument("--lambda", dest="lam", type=float,
                         help="privacy reward weight override")
     theta = argparse.ArgumentParser(add_help=False)
@@ -138,17 +139,12 @@ def _build_policy(kind: str, cfg: RunConfig, args):
         spec, params = load_checkpoint(args.checkpoint)
     except (OSError, CheckpointError) as exc:
         raise ConfigError(f"cannot load checkpoint: {exc}") from exc
-    width = obs_dim(env) if kind == "drqn" else state_dim(env)
-    if spec.input_dim != width:
-        raise ConfigError(f"checkpoint input_dim {spec.input_dim} does not "
-                          f"match the {kind} encoder width {width}")
-    if spec.output_dim != env.n_actions:
-        raise ConfigError(f"checkpoint output_dim {spec.output_dim} does not "
-                          f"match n_actions {env.n_actions}")
-    if bool(spec.gru) != (kind == "drqn"):
-        raise ConfigError(f"a {kind} checkpoint must "
-                          f"{'have' if kind == 'drqn' else 'not have'} "
-                          f"a GRU layer")
+    want = network_spec(env, cfg.agent, kind == "drqn")
+    got, need = ((s.input_dim, bool(s.gru), s.output_dim)
+                 for s in (spec, want))
+    if got != need:
+        raise ConfigError(f"checkpoint (input_dim, has GRU, output_dim) "
+                          f"{got} does not fit the {kind} net's {need}")
     return QPolicy(spec, params, env)
 
 
@@ -201,8 +197,10 @@ def cmd_sweep_lambda(args) -> int:
     cfg = resolve_config(args)
     if cfg.policy not in ("dqn", "drqn"):
         raise ConfigError("sweep-lambda requires --agent dqn or drqn")
+    if args.lam is not None:
+        cfg = dataclasses.replace(cfg, lambda_grid=(args.lam,))
     out = _out_dir(cfg, args.command)
-    grid = (args.lam,) if args.lam is not None else cfg.lambda_grid
+    grid = cfg.lambda_grid
     results = sweep_lambda(cfg.policy, grid, cfg.env, cfg.agent, cfg.seeds[0],
                            cfg.eval_episodes, cfg.seeds, jobs=args.jobs)
     records = [rec for rec, _ in results]

@@ -68,10 +68,12 @@ class RunConfig:
                               "buffer_capacity")
         if not all(0 <= th <= 1 for th in self.theta_grid):
             raise ConfigError("theta values must be in [0, 1]")
-        if not all(0 <= lam < float("inf") for lam in self.lambda_grid):
-            raise ConfigError("lambda values must be finite and >= 0")
         # A sweep cell seeds its training by int(lambda * 1000) and names
         # its files by f"{lambda:g}"; cells sharing either would coincide.
+        if not all(0 <= lam * 1000 < float("inf")
+                   for lam in self.lambda_grid):
+            raise ConfigError("lambda values must be >= 0 and lambda * 1000 "
+                              "finite")
         for key in (lambda lam: int(lam * 1000), lambda lam: f"{lam:g}"):
             keys = [key(lam) for lam in self.lambda_grid]
             if len(set(keys)) != len(keys):
@@ -79,14 +81,12 @@ class RunConfig:
                                   f"collide in sweep seeds or file names")
 
 
-def desk_env(**overrides) -> EnvParams:
+def desk_env() -> EnvParams:
     """Shrunk environment: short episodes, small entropy window."""
-    base = dict(window=32, episode_len=400)
-    base.update(overrides)
-    return EnvParams(**base)
+    return EnvParams(window=32, episode_len=400)
 
 
-def desk_agent(kind: str = "drqn", **overrides) -> AgentConfig:
+def desk_agent(kind: str = "drqn") -> AgentConfig:
     """Minutes-scale training preset: 1xGRU(32)+Dense(32) nets, 300 episodes.
 
     The optimizer knobs are retuned for the small budget: faster
@@ -118,7 +118,6 @@ def desk_agent(kind: str = "drqn", **overrides) -> AgentConfig:
     )
     if kind == "drqn":
         base.update(loss="huber", scale_rewards=True, alpha_decay=0.99)
-    base.update(overrides)
     return AgentConfig(**base)
 
 
@@ -183,7 +182,9 @@ def load_config(path: str | Path, scale: str | None = None,
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";",))
     try:
-        parser.read(path)
+        parser.read_string(path.read_text(encoding="utf-8"), str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     known = {"env", "agent", "run"}

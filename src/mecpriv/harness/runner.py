@@ -74,11 +74,9 @@ def buffer_levels(b_next: np.ndarray) -> np.ndarray:
     runs = -(-L // c)
     T, N = runs * c, n * runs
     pad = np.broadcast_to(np.arange(width)[:, None, None], (width, n, T - L))
-    step = np.concatenate((pad, b_next), axis=2, casting="unsafe",
-                          dtype=np.min_scalar_type(width * n * T))
-    step = step.reshape(width, n * T)
+    step = np.concatenate((pad, b_next), axis=2).reshape(width, n * T)
     step *= n * T
-    step += np.arange(n * T, dtype=step.dtype)
+    step += np.arange(n * T)
     follow = step.ravel()[1:]  # the next slot's map, at an entry's level
     whole = step.reshape(width, N, c)[:, :, 0]
     for _ in range(c - 1):
@@ -159,12 +157,6 @@ def run_episodes(policy: Policy, env: EnvParams, streams) -> list[EpisodeLog]:
     return logs
 
 
-def run_episode(policy: Policy, env: EnvParams,
-                rng: np.random.Generator) -> EpisodeLog:
-    """The one episode of rng's stream."""
-    return run_episodes(policy, env, [rng])[0]
-
-
 def episode_metrics(log: EpisodeLog) -> EpisodeMetrics:
     """Per-task averages divide by tasks completed (local + offloaded)."""
     tasks = int(log.l.sum() + log.t.sum())
@@ -236,7 +228,6 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
               else TransitionBuffer(room))
     baseline = RewardBaseline(cfg.center_rewards, cfg.scale_rewards)
     curve: list[tuple[int, float, float]] = []
-    grad_steps = 0
     states = np.empty(env.episode_len + 1, dtype=np.int64)
     actions = np.empty(env.episode_len, dtype=np.int64)
     for ep in range(cfg.episodes):
@@ -269,8 +260,8 @@ def train(kind: str, env: EnvParams, cfg: AgentConfig,
                     (batch := replay.sample_batch(cfg, rng)) is not None:
                 q_update(spec, actor.params, target, opt, batch, env, cfg,
                          baseline.value, baseline.scale)
-                grad_steps += 1
-                if grad_steps % cfg.target_update_period == 0:
+                # opt.t counts the gradient steps taken
+                if opt.t % cfg.target_update_period == 0:
                     polyak_update(target, actor.params, cfg.tau)
         replay.end_episode()
         curve.append((ep, total, eps))

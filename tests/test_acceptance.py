@@ -13,8 +13,8 @@ from mecpriv.agents import QPolicy
 from mecpriv.baselines import GreedyPolicy, ThetaPrivatePolicy, UniformPolicy
 from mecpriv.env import EnvParams, mdp
 from mecpriv.harness import (desk_env, episode_metrics, episode_rng, evaluate,
-                             rollout_trace, run_episode, sweep_theta,
-                             write_metrics_csv)
+                             rollout_trace, sweep_theta, write_metrics_csv)
+from mecpriv.harness.runner import run_episodes
 from mecpriv.nn import NetworkSpec, gradient_check
 from mecpriv.privacy import privacy_breakdown
 
@@ -157,8 +157,8 @@ def test_criterion_7_privacy_learning_direction(drqn_lambda10_run,
 def test_criterion_8_drqn_beats_dqn(drqn_lambda10_run, dqn_lambda10_run):
     _, _, drqn_result = drqn_lambda10_run
     _, _, dqn_result = dqn_lambda10_run
-    drqn_final = drqn_result.curve_rewards()[-50:].mean()
-    dqn_final = dqn_result.curve_rewards()[-50:].mean()
+    drqn_final = np.array(drqn_result.curve)[-50:, 1].mean()
+    dqn_final = np.array(dqn_result.curve)[-50:, 1].mean()
     ok = drqn_final >= dqn_final
     _report("criterion 8 (DRQN >= DQN reward)", ok,
             f"drqn {drqn_final:.0f} vs dqn {dqn_final:.0f}")
@@ -178,7 +178,7 @@ def test_criterion_9_determinism_and_conservation(tmp_path):
     for policy in (GreedyPolicy(env), ThetaPrivatePolicy(env, 0.5),
                    UniformPolicy(env)):
         for seed in (0, 1, 2, 3):
-            log = run_episode(policy, env, episode_rng(seed, 0))
+            log = run_episodes(policy, env, [episode_rng(seed, 0)])[0]
             m = episode_metrics(log)
             if m.tasks_handled + m.buffer_final != m.tasks_generated:
                 conserved = False

@@ -586,12 +586,13 @@ class TestUpdateMemory:
 
 class TestPairedBurnIn:
     """A batch whose per-step gate block reaches PAIR_BYTES runs the target
-    net's burn-in on one thread beside the online net's, on a machine with
-    more than one CPU, with the floats of the sequential passes."""
+    net's burn-in on one thread beside the online net's, with the floats of
+    the sequential passes, however many CPUs the process may use."""
 
     @staticmethod
     def cpus(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
 
     @staticmethod
     def count_starts(monkeypatch) -> list:
@@ -620,7 +621,6 @@ class TestPairedBurnIn:
         cfg = dataclasses.replace(TINY_DRQN, seq_len=8, tbptt_len=3,
                                   batch_size=16)
         spec, params, target, buf, rng = self.setup(env, cfg, 23)
-        self.cpus(monkeypatch, 2)
         started = self.count_starts(monkeypatch)
         runs = []
         for limit in (0, 2 ** 62):  # paired, then sequential
@@ -641,7 +641,6 @@ class TestPairedBurnIn:
         env = EnvParams(episode_len=12)
         cfg = dataclasses.replace(TINY_DRQN, seq_len=8, tbptt_len=3)
         spec, params, target, buf, rng = self.setup(env, cfg, 29)
-        self.cpus(monkeypatch, 2)
         monkeypatch.setattr(network, "PAIR_BYTES", 0)
         err = RuntimeError("target pass failed")
 
@@ -661,20 +660,29 @@ class TestPairedBurnIn:
         assert all(np.array_equal(a[k], b[k])
                    for a, b in zip(params, start) for k in a)
 
-    @pytest.mark.parametrize("scale, cpus, threads", [
-        ("desk", 2, 0), ("paper", 2, 1), ("paper", 1, 0)])
-    def test_the_rule(self, scale, cpus, threads, monkeypatch):
-        # desk: 32 x 3 x 32 x 8 = 24 KiB a step; paper: 128 x 3 x 128 x 8
-        # = 384 KiB, over PAIR_BYTES, but not on a single CPU
+    def threads_of_one_update(self, scale, monkeypatch) -> int:
+        """Threads started by one update at a preset's shapes."""
         env, cfg = ((desk_env(), desk_agent()) if scale == "desk"
                     else (EnvParams(), AgentConfig()))
         assert cfg.seq_len > cfg.tbptt_len  # the update has a burn-in
         spec, params, target, buf, rng = self.setup(env, cfg, 31)
-        self.cpus(monkeypatch, cpus)
         started = self.count_starts(monkeypatch)
         q_update(spec, params, target, Adam(1e-4),
                  buf.sample_batch(cfg, rng), env, cfg)
-        assert len(started) == threads
+        return len(started)
+
+    @pytest.mark.parametrize("scale, cpus, threads", [
+        ("desk", 2, 0), ("paper", 2, 1), ("paper", 1, 1)])
+    def test_the_rule(self, scale, cpus, threads, monkeypatch):
+        # desk: 32 x 3 x 32 x 8 = 24 KiB a step; paper: 128 x 3 x 128 x 8
+        # = 384 KiB, over PAIR_BYTES; the CPU count plays no part
+        self.cpus(monkeypatch, cpus)
+        assert self.threads_of_one_update(scale, monkeypatch) == threads
+
+    def test_pairs_without_an_affinity_call(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert self.threads_of_one_update("paper", monkeypatch) == 1
 
 
 class TestReplay:
@@ -881,7 +889,7 @@ class TestTraining:
     def test_scaled_dqn_matches_greedy_cost(self):
         env = dataclasses.replace(desk_env(), episode_len=300,
                                   privacy_weight=0.0)
-        cfg = desk_agent("dqn", episodes=200)
+        cfg = dataclasses.replace(desk_agent("dqn"), episodes=200)
         result = train("dqn", env, cfg, np.random.default_rng(77))
         policy = QPolicy(result.spec, result.params, env)
         ours = evaluate(policy, env, 10, (5, 6), "dqn").avg_cost_per_task
@@ -891,7 +899,7 @@ class TestTraining:
 
     def test_drqn_reward_trend(self, drqn_lambda10_run):
         env, cfg, result = drqn_lambda10_run
-        rewards = result.curve_rewards()
+        rewards = np.array(result.curve)[:, 1]
         ma = np.convolve(rewards, np.ones(50) / 50, mode="valid")
         second_half = ma[len(ma) // 2:]
         # improving trend: no deep dips below the running best
@@ -903,8 +911,8 @@ class TestTraining:
     def test_drqn_beats_dqn_reward(self, drqn_lambda10_run, dqn_lambda10_run):
         _, _, drqn_result = drqn_lambda10_run
         _, _, dqn_result = dqn_lambda10_run
-        assert drqn_result.curve_rewards()[-50:].mean() >= \
-            dqn_result.curve_rewards()[-50:].mean()
+        assert np.array(drqn_result.curve)[-50:, 1].mean() >= \
+            np.array(dqn_result.curve)[-50:, 1].mean()
 
 
 def epsilon_greedy_slots(actor, eps, env, rng):

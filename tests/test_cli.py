@@ -85,6 +85,31 @@ class TestExitCodes:
         assert main(["validate-config", "--config",
                      str(tmp_path / "none.ini")]) == 3
 
+    # a file read as empty would run the preset it did not ask for
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(b"[agent]\nepisodes = 2 ; caf\xff\n")
+        out = tmp_path / "out"
+        assert main(["validate-config", "--config", str(ini), "--scale",
+                     "desk", "--out", str(out)]) == 3
+        assert "cannot read config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unopenable_config_is_config_error(self, tmp_path, capsys,
+                                               monkeypatch):
+        ini = tmp_path / "locked.ini"
+        ini.write_text("[agent]\nepisodes = 2\n")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        out = tmp_path / "out"
+        assert main(["train", "--agent", "dqn", "--config", str(ini),
+                     "--scale", "desk", "--out", str(out)]) == 3
+        assert "Permission denied" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_required_for_trained_agents(self, tmp_path):
         assert main(["evaluate", "--agent", "dqn", "--scale", "desk",
                      "--out", str(tmp_path)]) == 3
@@ -178,7 +203,8 @@ class TestExitCodes:
 
 
 class TestNonFinite:
-    # A nan passes every `x < 0` check, and an inf every `x > 0` one.
+    # A nan passes every `x < 0` check, and an inf every `x > 0` one. A
+    # sweep cell's seed is int(lambda * 1000), which 1e306 overflows.
     @pytest.mark.parametrize("command, ini, flags, named", [
         ("evaluate", None, ["--lambda", "nan"], "privacy_weight"),
         ("evaluate", "[env]\ne_local = nan\n", [], "e_local"),
@@ -188,8 +214,12 @@ class TestNonFinite:
         ("validate-config", "[run]\ntheta_grid = 0.5, nan\n", [], "theta"),
         ("validate-config", "[run]\nlambda_grid = 2, inf\n", [], "lambda"),
         ("validate-config", None, ["--lambda", "nan"], "privacy_weight"),
+        ("sweep-lambda", "[run]\nlambda_grid = 2, 1e306\n", [],
+         "lambda * 1000"),
+        ("sweep-lambda", None, ["--lambda", "1e306"], "lambda * 1000"),
     ], ids=["evaluate-lambda", "evaluate-e_local", "alpha", "task_size_kb",
-            "theta_grid", "lambda_grid", "validate-lambda"])
+            "theta_grid", "lambda_grid", "validate-lambda",
+            "lambda_grid-seed-overflow", "sweep-lambda-seed-overflow"])
     def test_is_config_error(self, tmp_path, capsys, command, ini, flags,
                              named):
         if ini is not None:

@@ -12,7 +12,7 @@ from mecpriv.agents import AgentConfig, QPolicy, network_spec
 from mecpriv.baselines import GreedyPolicy, ThetaPrivatePolicy, UniformPolicy
 from mecpriv.env import mdp, state_id
 from mecpriv.harness import (desk_env, episode_rng, evaluate, rollout_trace,
-                             run_episode, write_metrics_csv)
+                             write_metrics_csv)
 from mecpriv.harness.runner import (LANES, buffer_levels, draw, play,
                                     run_episodes)
 from mecpriv.nn import init_params
@@ -86,7 +86,7 @@ def test_lanes_match_slot_by_slot(kind, length, lanes):
     (1, 3, 17), (2, 1, 100), (6, 13, 400), (6, LANES, 400), (300, 2, 500)],
     ids=["one-level", "uint8", "uint16", "uint32", "wide"])
 def test_buffer_levels_follow_the_chain(width, lanes, length):
-    # random slot maps, whose flat indices need each integer width
+    # random slot maps, whose flat indices span each integer width
     b_next = np.random.default_rng(width).integers(
         0, width, size=(width, lanes, length))
     b = np.zeros((lanes, length + 1), dtype=np.intp)
@@ -96,7 +96,7 @@ def test_buffer_levels_follow_the_chain(width, lanes, length):
 
 
 def test_every_policy_meets_the_same_demand_and_channel():
-    logs = [run_episode(make(DESK), DESK, episode_rng(3, 0))
+    logs = [run_episodes(make(DESK), DESK, [episode_rng(3, 0)])[0]
             for make in POLICIES.values()]
     traces = [rollout_trace(make(DESK), DESK, np.random.default_rng([3, 1]),
                             1000) for make in POLICIES.values()]
@@ -113,7 +113,7 @@ def test_episode_independent_of_lane_count(kind):
     # episode LANES + 3 of 60 runs in the second block of lanes
     policy = POLICIES[kind](DESK)
     for k in (0, 3, LANES + 3):
-        alone = run_episode(policy, DESK, episode_rng(9, k))
+        alone = run_episodes(policy, DESK, [episode_rng(9, k)])[0]
         h_alone = [h[0].tobytes() for h in policy._h] if kind == "drqn" \
             else None
         for n in (4, 60)[k >= 4:]:

@@ -11,9 +11,9 @@ from mecpriv.env import EnvParams
 from mecpriv.harness import (ConfigError, RunConfig, config_as_dict,
                              desk_agent, desk_env, episode_metrics,
                              episode_rng, evaluate, load_config,
-                             rollout_trace, run_episode, scaled_config,
-                             sweep_lambda, sweep_theta, write_manifest,
-                             write_metrics_csv)
+                             rollout_trace, scaled_config, sweep_lambda,
+                             sweep_theta, write_manifest, write_metrics_csv)
+from mecpriv.harness.runner import run_episodes
 from mecpriv.nn import init_params
 
 DESK = desk_env()
@@ -30,7 +30,7 @@ class TestRunEpisode:
         for name, pol in [("greedy", GreedyPolicy(DESK)),
                           ("uniform", UniformPolicy(DESK))]:
             logs[name] = episode_metrics(
-                run_episode(pol, DESK, episode_rng(3, 0)))
+                run_episodes(pol, DESK, [episode_rng(3, 0)])[0])
         assert logs["uniform"].h_dt > logs["greedy"].h_dt
 
     def test_zero_length_episode_rejected(self):
@@ -40,12 +40,12 @@ class TestRunEpisode:
     def test_task_conservation(self):
         for pol in (GreedyPolicy(DESK), UniformPolicy(DESK)):
             for seed in (0, 1, 2):
-                log = run_episode(pol, DESK, episode_rng(seed, 0))
+                log = run_episodes(pol, DESK, [episode_rng(seed, 0)])[0]
                 handled = int(log.l.sum() + log.t.sum())
                 assert handled + log.buffer_final == int(log.d.sum())
 
     def test_cost_identity_from_raw_logs(self):
-        log = run_episode(UniformPolicy(DESK), DESK, episode_rng(4, 0))
+        log = run_episodes(UniformPolicy(DESK), DESK, [episode_rng(4, 0)])[0]
         m = episode_metrics(log)
         assert m.avg_cost_per_task == pytest.approx(
             DESK.delay_weight * m.avg_delay_per_task + m.avg_energy_per_task,
@@ -69,11 +69,11 @@ class TestRunEpisode:
         for seed in (0, 1):
             trace = rollout_trace(policy, DESK, episode_rng(seed, 0),
                                   DESK.episode_len)
-            log = run_episode(policy, DESK, episode_rng(seed, 0))
+            log = run_episodes(policy, DESK, [episode_rng(seed, 0)])[0]
             assert np.array_equal(trace, np.stack([log.d, log.g, log.t], 1))
 
     def test_per_step_log_consistency(self):
-        log = run_episode(UniformPolicy(DESK), DESK, episode_rng(5, 0))
+        log = run_episodes(UniformPolicy(DESK), DESK, [episode_rng(5, 0)])[0]
         assert np.all(log.l == log.d + log.b - log.q - log.t)
         assert np.all(log.l >= 0)
         assert np.all(log.cost == pytest.approx(
@@ -155,9 +155,10 @@ class TestSweeps:
 
     def test_lambda_sweep_smoke(self, tmp_path):
         env = dataclasses.replace(DESK, episode_len=60, window=8)
-        cfg = desk_agent("drqn", episodes=2, batch_size=4, seq_len=8,
-                         tbptt_len=4, gru_units=8, dense_units=8,
-                         buffer_capacity=500)
+        cfg = dataclasses.replace(desk_agent("drqn"), episodes=2,
+                                  batch_size=4, seq_len=8, tbptt_len=4,
+                                  gru_units=8, dense_units=8,
+                                  buffer_capacity=500)
         results = sweep_lambda("drqn", [0.0, 5.0], env, cfg, train_seed=1,
                                episodes=2, seeds=(1,))
         assert len(results) == 2
